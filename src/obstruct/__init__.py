@@ -9,6 +9,8 @@ and the Lie-algebraic specializations (classical Yang-Baxter defect and
 quantum-group divergence).
 """
 
+__version__ = "0.1.0"  # the one version source; pyproject.toml reads it
+
 from .catalog import CatalogEntry, example_names, load_example
 from .contravariant import (ATensor, CurvatureK, Frame, a_tensor,
                             alpha_defect, apply_connection,
@@ -31,5 +33,3 @@ from .poisson import (DegeneratePoissonError, OneFormField, divergence_defect,
                       pi_rank, sharp, symplectic_inverse)
 from .report import (CheckConfig, CheckResult, ObstructionReport,
                      render_report, run_checks)
-
-__version__ = "0.1.0"

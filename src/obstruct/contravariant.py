@@ -18,14 +18,17 @@ flatness of the companion metric g'_{jk} = omega_{ja} omega_{kb} g^{ab}.
 
 All raising and lowering uses the scene metric; omega is fixed by
 ``pi^{ai} omega_{aj} = delta^i_j``.  Everything here is a pure function of
-(scene, point); a :class:`Frame` caches the shared per-point arrays so a
-batch of checks evaluates each field only once.
+(scene, point); a :class:`Frame` keeps the shared arrays, at one point or
+at a block of points, so a batch of checks evaluates each field only once.
+The defect tensors accept a frame of either kind; the oracles, the
+perturbations and :func:`curvature_definitional` take one point.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,65 +66,101 @@ class CurvatureK:
     components: np.ndarray
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Everything the obstruction tensors need at one chart point."""
+# layers in the order Frame.at builds them, which fixes which error a
+# point that fails in several layers reports
+_LAYERS = ("metric_eval", "pi_eval", "inverse", "christoffels", "riemann",
+           "nabla_pi_eval", "a_eval", "nabla_a")
 
-    scene: Scene
-    point: np.ndarray
-    g: np.ndarray
-    dg: np.ndarray
-    d2g: np.ndarray
-    ginv: np.ndarray
-    dginv: np.ndarray
-    christoffels: Christoffels
-    riemann: np.ndarray
-    pi: np.ndarray
-    dpi: np.ndarray
-    d2pi: np.ndarray
-    nabla_pi: np.ndarray      # N[i, j, k] = nabla_k pi^{ij}
-    dnabla_pi: np.ndarray     # dN[i, j, k, l] = d_l N[i, j, k]
-    a: np.ndarray             # A[i, j, k] = A^{ij}_k
-    da: np.ndarray            # dA[i, j, k, l] = d_l A[i, j, k]
-    nabla_a: np.ndarray       # nabla_a A as [i, j, k, a]
+
+class Frame:
+    """Everything the obstruction tensors need at one chart point, or at a
+    block of points: ``point`` has shape ``(..., n)`` and every array
+    carries the same leading axes.
+
+    Each layer is computed on first use and kept.  :meth:`at` builds all
+    of them; the grid sweep constructs a frame directly, so a block builds
+    only the layers its checks need.
+    """
+
+    def __init__(self, scene: Scene, point):
+        self.scene = scene
+        self.point = np.asarray(point, dtype=float)
 
     @classmethod
     def at(cls, scene: Scene, point) -> "Frame":
-        point = np.asarray(point, dtype=float)
-        g_eval = geometry.eval_field(scene, "metric", point)
-        pi_eval = geometry.eval_field(scene, "poisson", point)
-        g, dg, d2g = g_eval.components, g_eval.d1, g_eval.d2
-        ginv, dginv, _ = geometry.inverse_with_partials(g, dg, None)
-        ch = geometry.christoffels(g_eval)
-        riem = geometry.riemann_from_christoffels(ch)
-        np_eval = geometry.covariant_derivative(pi_eval, ch, "uu")
-        n_arr, dn_arr = np_eval.components, np_eval.d1
-        a, da = _a_with_partials(g, dg, ginv, dginv, n_arr, dn_arr)
-        na = geometry.covariant_derivative(PointEvaluation(a, da), ch, "uud")
-        return cls(scene, point, g, dg, d2g, ginv, dginv, ch, riem,
-                   pi_eval.components, pi_eval.d1, pi_eval.d2,
-                   n_arr, dn_arr, a, da, na.components)
+        frame = cls(scene, point)
+        for layer in _LAYERS:
+            getattr(frame, layer)
+        return frame
+
+    @cached_property
+    def metric_eval(self) -> PointEvaluation:
+        return geometry.eval_field(self.scene, "metric", self.point)
+
+    @cached_property
+    def pi_eval(self) -> PointEvaluation:
+        return geometry.eval_field(self.scene, "poisson", self.point)
+
+    @cached_property
+    def inverse(self) -> tuple[np.ndarray, np.ndarray]:
+        return geometry.inverse_with_partials(self.g, self.dg, None)[:2]
+
+    @cached_property
+    def christoffels(self) -> Christoffels:
+        return geometry.christoffels(self.metric_eval, self.inverse)
+
+    @cached_property
+    def riemann(self) -> np.ndarray:
+        return geometry.riemann_from_christoffels(self.christoffels)
+
+    @cached_property
+    def nabla_pi_eval(self) -> PointEvaluation:
+        """N[i, j, k] = nabla_k pi^{ij} with d_l N as ``d1``."""
+        return geometry.covariant_derivative(self.pi_eval, self.christoffels, "uu")
+
+    @cached_property
+    def a_eval(self) -> PointEvaluation:
+        """A[i, j, k] = A^{ij}_k with d_l A as ``d1``."""
+        return PointEvaluation(*_a_with_partials(
+            self.g, self.dg, self.ginv, self.dginv, self.nabla_pi, self.dnabla_pi))
+
+    @cached_property
+    def nabla_a(self) -> np.ndarray:
+        """nabla_a A^{ij}_k as [i, j, k, a]."""
+        return geometry.covariant_derivative(self.a_eval, self.christoffels,
+                                             "uud").components
+
+    g = property(lambda self: self.metric_eval.components)
+    dg = property(lambda self: self.metric_eval.d1)
+    d2g = property(lambda self: self.metric_eval.d2)
+    pi = property(lambda self: self.pi_eval.components)
+    dpi = property(lambda self: self.pi_eval.d1)
+    d2pi = property(lambda self: self.pi_eval.d2)
+    ginv = property(lambda self: self.inverse[0])
+    dginv = property(lambda self: self.inverse[1])
+    nabla_pi = property(lambda self: self.nabla_pi_eval.components)
+    dnabla_pi = property(lambda self: self.nabla_pi_eval.d1)
+    a = property(lambda self: self.a_eval.components)
+    da = property(lambda self: self.a_eval.d1)
 
     # co-frame image W[i, j, k] = (D^i dx^j)_k, shared by torsion and the
     # definitional curvature route
     def coframe_connection(self) -> np.ndarray:
-        return (-np.einsum("ia,jak->ijk", self.pi, self.christoffels.gamma)
+        return (-np.einsum("...ia,...jak->...ijk", self.pi, self.christoffels.gamma)
                 + self.a)
 
 
 def _a_with_partials(g, dg, ginv, dginv, n_arr, dn_arr):
-    t2 = np.einsum("ka,ib,jab->ijk", g, ginv, n_arr)
-    t3 = np.einsum("ka,jb,iab->ijk", g, ginv, n_arr)
-    a = 0.5 * (n_arr - t2 - t3)
-    da = 0.5 * (
-        dn_arr
-        - np.einsum("kal,ib,jab->ijkl", dg, ginv, n_arr)
-        - np.einsum("ka,ibl,jab->ijkl", g, dginv, n_arr)
-        - np.einsum("ka,ib,jabl->ijkl", g, ginv, dn_arr)
-        - np.einsum("kal,jb,iab->ijkl", dg, ginv, n_arr)
-        - np.einsum("ka,jbl,iab->ijkl", g, dginv, n_arr)
-        - np.einsum("ka,jb,iabl->ijkl", g, ginv, dn_arr)
-    )
+    # P[i, j, a] = g^{ib} nabla_b pi^{ja}; the two g-g^-1 terms of A are
+    # g_{ka} P[i, j, a] and the same with i and j exchanged
+    p = np.einsum("...ib,...jab->...ija", ginv, n_arr)
+    dp = (np.einsum("...ibl,...jab->...ijal", dginv, n_arr)
+          + np.einsum("...ib,...jabl->...ijal", ginv, dn_arr))
+    t = np.einsum("...ka,...ija->...ijk", g, p)
+    dt = (np.einsum("...kal,...ija->...ijkl", dg, p)
+          + np.einsum("...ka,...ijal->...ijkl", g, dp))
+    a = 0.5 * (n_arr - t - t.swapaxes(-3, -2))
+    da = 0.5 * (dn_arr - dt - dt.swapaxes(-4, -3))
     return a, da
 
 
@@ -201,8 +240,8 @@ def torsion_defect(scene: Scene, point, frame: Frame | None = None,
     sharp-composed connection instead (its torsion is -nabla pi)."""
     f = _frame(scene, point, frame)
     a = f.a if a is None else a
-    w = (-np.einsum("ia,jak->ijk", f.pi, f.christoffels.gamma) + a)
-    return w - w.swapaxes(0, 1) - f.dpi
+    w = (-np.einsum("...ia,...jak->...ijk", f.pi, f.christoffels.gamma) + a)
+    return w - w.swapaxes(-3, -2) - f.dpi
 
 
 def metric_compat_defect(scene: Scene, point, frame: Frame | None = None,
@@ -213,11 +252,11 @@ def metric_compat_defect(scene: Scene, point, frame: Frame | None = None,
     a = f.a if a is None else a
     gamma = f.christoffels.gamma
     nabla_ginv = (f.dginv
-                  + np.einsum("jab,bk->jka", gamma, f.ginv)
-                  + np.einsum("kab,jb->jka", gamma, f.ginv))
-    return (np.einsum("ia,jka->ijk", f.pi, nabla_ginv)
-            - np.einsum("ijb,bk->ijk", a, f.ginv)
-            - np.einsum("ikb,jb->ijk", a, f.ginv))
+                  + np.einsum("...jab,...bk->...jka", gamma, f.ginv)
+                  + np.einsum("...kab,...jb->...jka", gamma, f.ginv))
+    return (np.einsum("...ia,...jka->...ijk", f.pi, nabla_ginv)
+            - np.einsum("...ijb,...bk->...ijk", a, f.ginv)
+            - np.einsum("...ikb,...jb->...ijk", a, f.ginv))
 
 
 def curvature_explicit(scene: Scene, point, frame: Frame | None = None) -> CurvatureK:
@@ -231,12 +270,12 @@ def curvature_explicit(scene: Scene, point, frame: Frame | None = None) -> Curva
     -(1/4)[[alpha, beta], gamma] on linear-bivector charts).
     """
     f = _frame(scene, point, frame)
-    k = (np.einsum("ja,ib,klab->ijkl", f.pi, f.pi, f.riemann)
-         - np.einsum("ja,ikla->ijkl", f.pi, f.nabla_a)
-         + np.einsum("ia,jkla->ijkl", f.pi, f.nabla_a)
-         - np.einsum("jal,ika->ijkl", f.a, f.a)
-         + np.einsum("ial,jka->ijkl", f.a, f.a)
-         + np.einsum("jia,akl->ijkl", f.nabla_pi, f.a))
+    k = (np.einsum("...ja,...ib,...klab->...ijkl", f.pi, f.pi, f.riemann)
+         - np.einsum("...ja,...ikla->...ijkl", f.pi, f.nabla_a)
+         + np.einsum("...ia,...jkla->...ijkl", f.pi, f.nabla_a)
+         - np.einsum("...jal,...ika->...ijkl", f.a, f.a)
+         + np.einsum("...ial,...jka->...ijkl", f.a, f.a)
+         + np.einsum("...jia,...akl->...ijkl", f.nabla_pi, f.a))
     return CurvatureK(k)
 
 
@@ -264,7 +303,7 @@ def curvature_definitional(scene: Scene, point, frame: Frame | None = None) -> C
 
 
 def _omega_with_partials(f: Frame, tol: float = 1e-9):
-    if poisson.pi_rank_from(f.pi, tol) < f.scene.dimension:
+    if np.any(poisson.pi_rank_from(f.pi, tol) < f.scene.dimension):
         raise DegeneratePoissonError(
             f"poisson structure degenerate at {f.point.tolist()}")
     inv, dinv, d2inv = geometry.inverse_with_partials(f.pi, f.dpi, f.d2pi)
@@ -280,21 +319,23 @@ def gprime(scene: Scene, point, frame: Frame | None = None) -> np.ndarray:
 def gprime_eval(f: Frame) -> PointEvaluation:
     """g' with first and second partials, ready for curvature."""
     o, do, d2o = _omega_with_partials(f)
-    g_pr = np.einsum("ja,kb,ab->jk", o, o, f.ginv)
-    dginv = f.dginv
+    ginv, dginv = f.ginv, f.dginv
     d2ginv = geometry.inverse_with_partials(f.g, f.dg, f.d2g)[2]
-    d1 = (np.einsum("jal,kb,ab->jkl", do, o, f.ginv)
-          + np.einsum("ja,kbl,ab->jkl", o, do, f.ginv)
-          + np.einsum("ja,kb,abl->jkl", o, o, dginv))
-    d2 = (np.einsum("jalm,kb,ab->jklm", d2o, o, f.ginv)
-          + np.einsum("ja,kblm,ab->jklm", o, d2o, f.ginv)
-          + np.einsum("ja,kb,ablm->jklm", o, o, d2ginv)
-          + np.einsum("jal,kbm,ab->jklm", do, do, f.ginv)
-          + np.einsum("jam,kbl,ab->jklm", do, do, f.ginv)
-          + np.einsum("jal,kb,abm->jklm", do, o, dginv)
-          + np.einsum("jam,kb,abl->jklm", do, o, dginv)
-          + np.einsum("ja,kbl,abm->jklm", o, do, dginv)
-          + np.einsum("ja,kbm,abl->jklm", o, do, dginv))
+    # g' = U o^T with U[j, b] = omega_{ja} g^{ab}; product rule on both
+    u = np.einsum("...ja,...ab->...jb", o, ginv)
+    du = (np.einsum("...jal,...ab->...jbl", do, ginv)
+          + np.einsum("...ja,...abl->...jbl", o, dginv))
+    cross = np.einsum("...jal,...abm->...jblm", do, dginv)
+    d2u = (np.einsum("...jalm,...ab->...jblm", d2o, ginv)
+           + cross + cross.swapaxes(-1, -2)
+           + np.einsum("...ja,...ablm->...jblm", o, d2ginv))
+    g_pr = np.einsum("...jb,...kb->...jk", u, o)
+    d1 = (np.einsum("...jbl,...kb->...jkl", du, o)
+          + np.einsum("...jb,...kbl->...jkl", u, do))
+    cross = np.einsum("...jbl,...kbm->...jklm", du, do)
+    d2 = (np.einsum("...jblm,...kb->...jklm", d2u, o)
+          + cross + cross.swapaxes(-1, -2)
+          + np.einsum("...jb,...kblm->...jklm", u, d2o))
     return PointEvaluation(g_pr, d1, d2)
 
 

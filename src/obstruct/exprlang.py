@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from . import jets
 from .jets import Jet2
 
@@ -285,17 +287,22 @@ def eval_jet(e: Expr, point, params: dict[str, float] | None = None) -> Jet2:
     """Evaluate to a degree-2 jet at ``point`` (coordinates lifted as
     coordinate jets, parameters as constants).
 
-    Domain errors (division by zero, log/sqrt outside their domain)
-    propagate as :class:`~obstruct.jets.JetDomainError`.
+    ``point`` has shape ``(..., n)``: leading axes index a block of points,
+    and the jet's value, gradient and Hessian broadcast to them in front of
+    their own axes (a constant tree gives a constant jet).
+
+    Domain errors (division by zero, log/sqrt outside their domain) at any
+    point propagate as :class:`~obstruct.jets.JetDomainError`.
     """
     params = params or {}
-    dim = len(point)
+    point = np.asarray(point, dtype=float)
+    dim = point.shape[-1]
 
     def go(node: Expr) -> Jet2:
         if isinstance(node, Num):
             return jets.lift(node.value, dim=dim)
         if isinstance(node, Coord):
-            return jets.lift(point[node.index], node.index, dim)
+            return jets.lift(np.array(point[..., node.index]), node.index, dim)
         if isinstance(node, Param):
             return jets.lift(params[node.name], dim=dim)
         if isinstance(node, Neg):

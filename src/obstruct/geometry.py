@@ -10,6 +10,10 @@ curvature, covariant derivatives) keep carrying one order of derivative
 less than their inputs, which is exactly what the second-order obstruction
 tensors need.
 
+Every array may carry leading axes in front of its tensor indices: a
+block of points is evaluated as one batch, with the same arithmetic as a
+single point.
+
 Index conventions: derivative indices always trail, so ``d1[..., k]`` is
 the partial by coordinate ``k`` and ``d2[..., k, l]`` is symmetric in
 ``(k, l)``.  The curvature sign is fixed by
@@ -140,10 +144,15 @@ class Scene:
         if len(self.box) != n:
             raise SceneValidationError("box must give one (lo, hi) pair per axis")
         for pt in self.grid([samples_per_axis] * n):
-            g = np.array([[exprlang.eval_real(e, pt, self.params)
-                           for e in row] for row in self.metric])
-            p = np.array([[exprlang.eval_real(e, pt, self.params)
-                           for e in row] for row in self.poisson])
+            try:
+                g = np.array([[exprlang.eval_real(e, pt, self.params)
+                               for e in row] for row in self.metric])
+                p = np.array([[exprlang.eval_real(e, pt, self.params)
+                               for e in row] for row in self.poisson])
+            except (ArithmeticError, ValueError) as err:
+                raise SceneValidationError(
+                    f"cannot evaluate the fields at {pt.tolist()}: "
+                    f"{type(err).__name__}: {err}") from err
             if np.max(np.abs(g - g.T)) > symmetry_tol:
                 raise SceneValidationError(
                     f"metric not symmetric at {pt.tolist()}")
@@ -159,17 +168,41 @@ class Scene:
 
 
 def _eval_array(exprs, scene: Scene, point) -> PointEvaluation:
+    """Jets of an array of expressions; the array's indices follow the
+    point's leading (block) axes."""
     arr = np.asarray(exprs, dtype=object)
-    n = scene.dimension
-    comps = np.empty(arr.shape)
-    d1 = np.empty(arr.shape + (n,))
-    d2 = np.empty(arr.shape + (n, n))
-    for idx in np.ndindex(*arr.shape) if arr.shape else [()]:
+    lead, n = point.shape[:-1], point.shape[-1]
+    comps = np.empty(lead + arr.shape)
+    d1 = np.empty(lead + arr.shape + (n,))
+    d2 = np.empty(lead + arr.shape + (n, n))
+    for idx in np.ndindex(*arr.shape):
         jet = exprlang.eval_jet(arr[idx], point, scene.params)
-        comps[idx] = jet.value
-        d1[idx] = jet.gradient
-        d2[idx] = jet.hessian
+        at = (slice(None),) * len(lead) + idx
+        comps[at] = jet.value
+        d1[at] = jet.gradient
+        d2[at] = jet.hessian
     return PointEvaluation(comps, d1, d2)
+
+
+def _from_triangle(rows, scene: Scene, point, sign: float) -> PointEvaluation:
+    """A symmetric (``sign=+1``, from the upper triangle) or antisymmetric
+    (``sign=-1``, from the strict upper triangle, zero diagonal) matrix
+    field; each entry is evaluated once and mirrored exactly."""
+    n = len(rows)
+    first = 0 if sign > 0 else 1
+    i = [a for a in range(n) for _ in range(a + first, n)]
+    j = [b for a in range(n) for b in range(a + first, n)]
+    upper = _eval_array([rows[a][b] for a, b in zip(i, j)], scene, point)
+    lead = point.shape[:-1]
+    out = []
+    for src, tail in ((upper.components, ()), (upper.d1, (n,)),
+                      (upper.d2, (n, n))):
+        full = np.zeros(lead + (n, n) + tail)
+        rest = (slice(None),) * len(tail)
+        full[(Ellipsis, i, j) + rest] = src
+        full[(Ellipsis, j, i) + rest] = sign * src
+        out.append(full)
+    return PointEvaluation(*out)
 
 
 def eval_field(scene: Scene, which, point) -> PointEvaluation:
@@ -179,45 +212,30 @@ def eval_field(scene: Scene, which, point) -> PointEvaluation:
     expressions (a custom tensor).  The metric is mirrored from the upper
     triangle and the Poisson field from the strict upper triangle, so the
     declared (anti)symmetry holds bitwise in the result.
+
+    ``point`` has shape ``(..., n)``; leading axes index a block of points
+    and lead every returned array.  A single point is rejected when it is
+    excluded; a block is taken to come from :meth:`Scene.grid`, which has
+    already dropped excluded points.
     """
-    if scene.is_excluded(point):
+    point = np.asarray(point, dtype=float)
+    if point.ndim == 1 and scene.is_excluded(point):
         raise ValueError(f"point {list(point)} is excluded from the sample domain")
     if isinstance(which, str):
         if which == "metric":
-            ev = _eval_array(_upper_triangle(scene.metric), scene, point)
-            return _mirror(ev, sign=+1.0)
+            return _from_triangle(scene.metric, scene, point, sign=+1.0)
         if which == "poisson":
-            ev = _eval_array(_upper_triangle(scene.poisson), scene, point)
-            return _mirror(ev, sign=-1.0)
+            return _from_triangle(scene.poisson, scene, point, sign=-1.0)
         raise ValueError(f"unknown field {which!r}")
     return _eval_array(which, scene, point)
 
 
-def _upper_triangle(exprs):
-    rows = [list(r) for r in exprs]
-    n = len(rows)
-    for i in range(n):
-        for j in range(i):
-            rows[i][j] = rows[j][i]
-    return rows
-
-
-def _mirror(ev: PointEvaluation, sign: float) -> PointEvaluation:
-    c, d1, d2 = ev.components.copy(), ev.d1.copy(), ev.d2.copy()
-    n = c.shape[0]
-    for i in range(n):
-        if sign < 0:
-            c[i, i] = 0.0
-            d1[i, i] = 0.0
-            d2[i, i] = 0.0
-        for j in range(i):
-            c[i, j] = sign * c[j, i]
-            d1[i, j] = sign * d1[j, i]
-            d2[i, j] = sign * d2[j, i]
-    return PointEvaluation(c, d1, d2)
-
-
 # -- derived quantities --------------------------------------------------------
+#
+# Every function below takes arrays with leading block axes (``...``) in
+# front of the tensor indices.  Contractions are written as einsum calls
+# over ``...``, each one elementwise in the block axes, so a point's result
+# does not depend on the block it is computed in.
 
 
 def inverse_with_partials(m: np.ndarray, d1: np.ndarray | None,
@@ -231,11 +249,15 @@ def inverse_with_partials(m: np.ndarray, d1: np.ndarray | None,
     inv = np.linalg.inv(m)
     if d1 is None:
         return inv, None, None
-    dinv = -np.einsum("ia,abk,bj->ijk", inv, d1, inv)
+    left = np.einsum("...ia,...abk->...ibk", inv, d1)       # M^-1 d_k M
+    dinv = -np.einsum("...ibk,...bj->...ijk", left, inv)
     if d2 is None:
         return inv, dinv, None
-    t1 = np.einsum("ia,abl,bc,cdk,dj->ijkl", inv, d1, inv, d1, inv)
-    d2inv = t1 + t1.swapaxes(2, 3) - np.einsum("ia,abkl,bj->ijkl", inv, d2, inv)
+    # M^-1 d_l M M^-1 d_k M M^-1, symmetrized in (k, l)
+    t1 = -np.einsum("...ibl,...bjk->...ijkl", left, dinv)
+    second = np.einsum("...ia,...abkl->...ibkl", inv, d2)
+    d2inv = (t1 + t1.swapaxes(-1, -2)
+             - np.einsum("...ibkl,...bj->...ijkl", second, inv))
     return inv, dinv, d2inv
 
 
@@ -254,30 +276,31 @@ def volume_density(g_eval: PointEvaluation, orientation: int = 1) -> PointEvalua
     absolute value of the determinant).  ``orientation`` is accepted for
     symmetry with the volume form but does not affect the density."""
     det = np.linalg.det(g_eval.components)
-    if det == 0.0:
+    if np.any(det == 0.0):
         raise np.linalg.LinAlgError("singular metric")
-    s = float(np.sqrt(abs(det)))
+    s = np.sqrt(np.abs(det))
     d1 = None
     if g_eval.d1 is not None:
         ginv = np.linalg.inv(g_eval.components)
         # d_k log|det g| = tr(g^-1 d_k g)
-        d1 = 0.5 * s * np.einsum("ab,abk->k", ginv, g_eval.d1)
+        d1 = 0.5 * s[..., None] * np.einsum("...ab,...abk->...k", ginv, g_eval.d1)
     return PointEvaluation(np.asarray(s), d1, None)
 
 
-def christoffels(g_eval: PointEvaluation) -> Christoffels:
+def christoffels(g_eval: PointEvaluation, inverse=None) -> Christoffels:
     """Levi-Civita symbols with their first partials (from second partials
-    of the metric and the analytic inverse derivative)."""
+    of the metric and the analytic inverse derivative).  ``inverse`` is
+    the pair ``(g^-1, d g^-1)`` when the caller already has it."""
     g, dg, d2g = g_eval.components, g_eval.d1, g_eval.d2
-    ginv, dginv, _ = inverse_with_partials(g, dg, None)
+    ginv, dginv = inverse or inverse_with_partials(g, dg, None)[:2]
     # S[a, j, k] = d_j g_ak + d_k g_aj - d_a g_jk
-    s = (np.einsum("akj->ajk", dg) + dg
-         - np.einsum("jka->ajk", dg))
-    gamma = 0.5 * np.einsum("ia,ajk->ijk", ginv, s)
-    ds = (np.einsum("akjl->ajkl", d2g) + d2g
-          - np.einsum("jkal->ajkl", d2g))
-    dgamma = 0.5 * (np.einsum("ial,ajk->ijkl", dginv, s)
-                    + np.einsum("ia,ajkl->ijkl", ginv, ds))
+    s = (np.einsum("...akj->...ajk", dg) + dg
+         - np.einsum("...jka->...ajk", dg))
+    gamma = 0.5 * np.einsum("...ia,...ajk->...ijk", ginv, s)
+    ds = (np.einsum("...akjl->...ajkl", d2g) + d2g
+          - np.einsum("...jkal->...ajkl", d2g))
+    dgamma = 0.5 * (np.einsum("...ial,...ajk->...ijkl", dginv, s)
+                    + np.einsum("...ia,...ajkl->...ijkl", ginv, ds))
     return Christoffels(gamma, dgamma)
 
 
@@ -290,9 +313,10 @@ def riemann(g_eval: PointEvaluation) -> np.ndarray:
 
 def riemann_from_christoffels(ch: Christoffels) -> np.ndarray:
     gamma, dgamma = ch.gamma, ch.d1
-    r = (np.einsum("kbla->klab", dgamma) - np.einsum("kalb->klab", dgamma)
-         + np.einsum("kac,cbl->klab", gamma, gamma)
-         - np.einsum("kbc,cal->klab", gamma, gamma))
+    r = (np.einsum("...kbla->...klab", dgamma)
+         - np.einsum("...kalb->...klab", dgamma)
+         + np.einsum("...kac,...cbl->...klab", gamma, gamma)
+         - np.einsum("...kbc,...cal->...klab", gamma, gamma))
     return r
 
 
@@ -306,7 +330,7 @@ def covariant_derivative(tensor_eval: PointEvaluation, ch: Christoffels,
     propagated when the input carries second partials.
     """
     t, dt, d2t = tensor_eval.components, tensor_eval.d1, tensor_eval.d2
-    rank = t.ndim
+    rank = t.ndim - (ch.gamma.ndim - 3)
     if len(variance) != rank or any(c not in "ud" for c in variance):
         raise ValueError(
             f"variance {variance!r} does not match tensor rank {rank}")
@@ -317,9 +341,9 @@ def covariant_derivative(tensor_eval: PointEvaluation, ch: Christoffels,
     nabla = dt.copy()
     dnabla = d2t.copy() if d2t is not None else None
     for pos, var in enumerate(variance):
-        src = letters[:pos] + "s" + letters[pos + 1:]
-        out = letters + "k"
-        gam = f"{letters[pos]}ks" if var == "u" else f"sk{letters[pos]}"
+        src = "..." + letters[:pos] + "s" + letters[pos + 1:]
+        out = "..." + letters + "k"
+        gam = "..." + (f"{letters[pos]}ks" if var == "u" else f"sk{letters[pos]}")
         sign = 1.0 if var == "u" else -1.0
         nabla += sign * np.einsum(f"{gam},{src}->{out}", gamma, t)
         if dnabla is not None:

@@ -72,13 +72,13 @@ def jacobi_from(pi: np.ndarray, dpi: np.ndarray) -> np.ndarray:
     Connection-independent, so plain partials suffice; vanishes iff pi is
     a genuine Poisson structure.
     """
-    t = np.einsum("ia,jka->ijk", pi, dpi)
-    return t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)
+    t = np.einsum("...ia,...jka->...ijk", pi, dpi)
+    return t + np.einsum("...kij->...ijk", t) + np.einsum("...jki->...ijk", t)
 
 
 def divergence_from(nabla_pi: np.ndarray) -> np.ndarray:
     """Trace nabla_j pi^{ij} of the covariant derivative of pi."""
-    return np.einsum("ijj->i", nabla_pi)
+    return np.einsum("...ijj->...i", nabla_pi)
 
 
 def sharp_from(pi: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -156,13 +156,13 @@ def symplectic_inverse(scene: Scene, point, tol: float = 1e-9) -> np.ndarray:
     return -np.linalg.inv(p)
 
 
-def pi_rank_from(pi: np.ndarray, tol: float = 1e-9) -> int:
+def pi_rank_from(pi: np.ndarray, tol: float = 1e-9):
+    """Even rank of pi (or of each matrix in a block): singular values
+    above ``tol`` relative to the largest one."""
     sv = np.linalg.svd(pi, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    rank = int(np.count_nonzero(sv > tol * sv[0]))
+    rank = np.count_nonzero(sv > tol * sv[..., :1], axis=-1)
     # singular values of an antisymmetric matrix pair up
-    return rank - (rank % 2)
+    return rank - rank % 2
 
 
 def pi_rank(scene: Scene, point, tol: float = 1e-9) -> int:
