@@ -22,6 +22,9 @@ All raising and lowering uses the scene metric; omega is fixed by
 at a block of points, so a batch of checks evaluates each field only once.
 The defect tensors accept a frame of either kind; the oracles, the
 perturbations and :func:`curvature_definitional` take one point.
+A single point's layers and defect tensors are row 0 of the padded block
+``[p, p]``, which einsum rounds like any larger block and unlike a bare
+point (see README, "Determinism and parallelism").
 """
 
 from __future__ import annotations
@@ -72,19 +75,46 @@ _LAYERS = ("metric_eval", "pi_eval", "inverse", "christoffels", "riemann",
            "nabla_pi_eval", "a_eval", "nabla_a")
 
 
+def _row0(x):
+    """Row 0 of a block's array, or of each array in a tuple or dataclass."""
+    if x is None or isinstance(x, np.ndarray):
+        return x if x is None else x[0]
+    if isinstance(x, tuple):
+        return tuple(map(_row0, x))
+    return type(x)(*map(_row0, vars(x).values()))
+
+
+class _layer(cached_property):
+    """A frame layer, computed on first use and kept; a single point's
+    frame keeps row 0 of the same layer of its padded block."""
+
+    def __get__(self, frame, owner=None):
+        if frame is not None and frame.block is not frame:
+            frame.__dict__[self.attrname] = _row0(getattr(frame.block, self.attrname))
+        return super().__get__(frame, owner)
+
+
 class Frame:
     """Everything the obstruction tensors need at one chart point, or at a
     block of points: ``point`` has shape ``(..., n)`` and every array
     carries the same leading axes.
 
-    Each layer is computed on first use and kept.  :meth:`at` builds all
-    of them; the grid sweep constructs a frame directly, so a block builds
-    only the layers its checks need.
+    Each layer is computed on first use and kept, on :attr:`block`: the
+    frame itself for a block, the padded block ``[p, p]`` for a single
+    point, whose frame keeps row 0.  :meth:`at` builds all layers; the grid
+    sweep constructs a frame directly, so a block builds only the layers
+    its checks need.
     """
 
     def __init__(self, scene: Scene, point):
         self.scene = scene
         self.point = np.asarray(point, dtype=float)
+        self.block = self
+        if self.point.ndim == 1:
+            if scene.is_excluded(self.point):
+                raise ValueError(
+                    f"point {self.point.tolist()} is excluded from the sample domain")
+            self.block = Frame(scene, np.stack([self.point, self.point]))
 
     @classmethod
     def at(cls, scene: Scene, point) -> "Frame":
@@ -93,38 +123,38 @@ class Frame:
             getattr(frame, layer)
         return frame
 
-    @cached_property
+    @_layer
     def metric_eval(self) -> PointEvaluation:
         return geometry.eval_field(self.scene, "metric", self.point)
 
-    @cached_property
+    @_layer
     def pi_eval(self) -> PointEvaluation:
         return geometry.eval_field(self.scene, "poisson", self.point)
 
-    @cached_property
+    @_layer
     def inverse(self) -> tuple[np.ndarray, np.ndarray]:
         return geometry.inverse_with_partials(self.g, self.dg, None)[:2]
 
-    @cached_property
+    @_layer
     def christoffels(self) -> Christoffels:
         return geometry.christoffels(self.metric_eval, self.inverse)
 
-    @cached_property
+    @_layer
     def riemann(self) -> np.ndarray:
         return geometry.riemann_from_christoffels(self.christoffels)
 
-    @cached_property
+    @_layer
     def nabla_pi_eval(self) -> PointEvaluation:
         """N[i, j, k] = nabla_k pi^{ij} with d_l N as ``d1``."""
         return geometry.covariant_derivative(self.pi_eval, self.christoffels, "uu")
 
-    @cached_property
+    @_layer
     def a_eval(self) -> PointEvaluation:
         """A[i, j, k] = A^{ij}_k with d_l A as ``d1``."""
         return PointEvaluation(*_a_with_partials(
             self.g, self.dg, self.ginv, self.dginv, self.nabla_pi, self.dnabla_pi))
 
-    @cached_property
+    @_layer
     def nabla_a(self) -> np.ndarray:
         """nabla_a A^{ij}_k as [i, j, k, a]."""
         return geometry.covariant_derivative(self.a_eval, self.christoffels,
@@ -166,6 +196,13 @@ def _a_with_partials(g, dg, ginv, dginv, n_arr, dn_arr):
 
 def _frame(scene: Scene, point, frame: Frame | None) -> Frame:
     return frame if frame is not None else Frame.at(scene, point)
+
+
+def _block(scene: Scene, point, frame: Frame | None):
+    """The block frame a defect tensor is computed on, and how to read the
+    result off it: row 0 when the frame is a single point's."""
+    f = _frame(scene, point, frame)
+    return f.block, (lambda x: x) if f.block is f else _row0
 
 
 # -- connection --------------------------------------------------------------
@@ -238,25 +275,25 @@ def torsion_defect(scene: Scene, point, frame: Frame | None = None,
     """T^{ij}_k on the coordinate co-frame; zero for the metric
     contravariant connection.  Pass ``a=0`` arrays to probe the plain
     sharp-composed connection instead (its torsion is -nabla pi)."""
-    f = _frame(scene, point, frame)
+    f, row = _block(scene, point, frame)
     a = f.a if a is None else a
     w = (-np.einsum("...ia,...jak->...ijk", f.pi, f.christoffels.gamma) + a)
-    return w - w.swapaxes(-3, -2) - f.dpi
+    return row(w - w.swapaxes(-3, -2) - f.dpi)
 
 
 def metric_compat_defect(scene: Scene, point, frame: Frame | None = None,
                          a: np.ndarray | None = None) -> np.ndarray:
     """(D^i g)^{jk}: the contravariant derivative of the inverse metric
     under the induced connection on 2-tensors; zero when compatible."""
-    f = _frame(scene, point, frame)
+    f, row = _block(scene, point, frame)
     a = f.a if a is None else a
     gamma = f.christoffels.gamma
     nabla_ginv = (f.dginv
                   + np.einsum("...jab,...bk->...jka", gamma, f.ginv)
                   + np.einsum("...kab,...jb->...jka", gamma, f.ginv))
-    return (np.einsum("...ia,...jka->...ijk", f.pi, nabla_ginv)
-            - np.einsum("...ijb,...bk->...ijk", a, f.ginv)
-            - np.einsum("...ikb,...jb->...ijk", a, f.ginv))
+    return row(np.einsum("...ia,...jka->...ijk", f.pi, nabla_ginv)
+               - np.einsum("...ijb,...bk->...ijk", a, f.ginv)
+               - np.einsum("...ikb,...jb->...ijk", a, f.ginv))
 
 
 def curvature_explicit(scene: Scene, point, frame: Frame | None = None) -> CurvatureK:
@@ -269,14 +306,14 @@ def curvature_explicit(scene: Scene, point, frame: Frame | None = None) -> Curva
     definitional commutator route (and hence with the closed-form
     -(1/4)[[alpha, beta], gamma] on linear-bivector charts).
     """
-    f = _frame(scene, point, frame)
+    f, row = _block(scene, point, frame)
     k = (np.einsum("...ja,...ib,...klab->...ijkl", f.pi, f.pi, f.riemann)
          - np.einsum("...ja,...ikla->...ijkl", f.pi, f.nabla_a)
          + np.einsum("...ia,...jkla->...ijkl", f.pi, f.nabla_a)
          - np.einsum("...jal,...ika->...ijkl", f.a, f.a)
          + np.einsum("...ial,...jka->...ijkl", f.a, f.a)
          + np.einsum("...jia,...akl->...ijkl", f.nabla_pi, f.a))
-    return CurvatureK(k)
+    return CurvatureK(row(k))
 
 
 def curvature_definitional(scene: Scene, point, frame: Frame | None = None) -> CurvatureK:
@@ -302,10 +339,13 @@ def curvature_definitional(scene: Scene, point, frame: Frame | None = None) -> C
 # -- symplectic companion metric ----------------------------------------------
 
 
-def _omega_with_partials(f: Frame, tol: float = 1e-9):
-    if np.any(poisson.pi_rank_from(f.pi, tol) < f.scene.dimension):
+def omega_with_partials(f: Frame, tol: float = 1e-9):
+    """omega = -pi^-1 with first and second partials; raises
+    :class:`DegeneratePoissonError` where pi has rank < n."""
+    degenerate = poisson.pi_rank_from(f.pi, tol) < f.scene.dimension
+    if np.any(degenerate):
         raise DegeneratePoissonError(
-            f"poisson structure degenerate at {f.point.tolist()}")
+            f"poisson structure degenerate at {f.point[degenerate][0].tolist()}")
     inv, dinv, d2inv = geometry.inverse_with_partials(f.pi, f.dpi, f.d2pi)
     return -inv, -dinv, -d2inv
 
@@ -313,12 +353,13 @@ def _omega_with_partials(f: Frame, tol: float = 1e-9):
 def gprime(scene: Scene, point, frame: Frame | None = None) -> np.ndarray:
     """The flat-candidate metric g'_{jk} = omega_{ja} omega_{kb} g^{ab};
     symmetric, with the same signature as g.  Requires invertible pi."""
-    return gprime_eval(_frame(scene, point, frame)).components
+    f, row = _block(scene, point, frame)
+    return row(gprime_eval(f).components)
 
 
 def gprime_eval(f: Frame) -> PointEvaluation:
     """g' with first and second partials, ready for curvature."""
-    o, do, d2o = _omega_with_partials(f)
+    o, do, d2o = omega_with_partials(f)
     ginv, dginv = f.ginv, f.dginv
     d2ginv = geometry.inverse_with_partials(f.g, f.dg, f.d2g)[2]
     # g' = U o^T with U[j, b] = omega_{ja} g^{ab}; product rule on both
@@ -341,7 +382,8 @@ def gprime_eval(f: Frame) -> PointEvaluation:
 
 def gprime_riemann(scene: Scene, point, frame: Frame | None = None) -> np.ndarray:
     """Riemann tensor of g'; must vanish wherever K does (symplectic case)."""
-    return geometry.riemann(gprime_eval(_frame(scene, point, frame)))
+    f, row = _block(scene, point, frame)
+    return row(geometry.riemann(gprime_eval(f)))
 
 
 # -- perturbations ------------------------------------------------------------

@@ -11,8 +11,8 @@ less than their inputs, which is exactly what the second-order obstruction
 tensors need.
 
 Every array may carry leading axes in front of its tensor indices: a
-block of points is evaluated as one batch, with the same arithmetic as a
-single point.
+block of points is evaluated as one batch, its point axis innermost in
+memory so that each contraction's inner loop runs along the points.
 
 Index conventions: derivative indices always trail, so ``d1[..., k]`` is
 the partial by coordinate ``k`` and ``d2[..., k, l]`` is symmetric in
@@ -95,7 +95,12 @@ class Scene:
     def is_excluded(self, point) -> bool:
         if self.exclude is None:
             return False
-        return exprlang.eval_real(self.exclude, point, self.params) > 0.0
+        try:
+            return exprlang.eval_real(self.exclude, point, self.params) > 0.0
+        except (ArithmeticError, ValueError) as err:
+            raise SceneValidationError(
+                f"cannot evaluate exclude at {np.asarray(point).tolist()}: "
+                f"{type(err).__name__}: {err}") from err
 
     def grid(self, counts) -> list[np.ndarray]:
         """Lexicographically ordered grid over the box, excluded points
@@ -167,14 +172,21 @@ class Scene:
 # -- field evaluation ----------------------------------------------------------
 
 
+def _points_innermost(alloc, lead, shape) -> np.ndarray:
+    """``alloc`` of an array ``lead + shape``, ``lead`` innermost in memory."""
+    k = len(shape)
+    return alloc(shape + lead).transpose(
+        tuple(range(k, k + len(lead))) + tuple(range(k)))
+
+
 def _eval_array(exprs, scene: Scene, point) -> PointEvaluation:
     """Jets of an array of expressions; the array's indices follow the
     point's leading (block) axes."""
     arr = np.asarray(exprs, dtype=object)
     lead, n = point.shape[:-1], point.shape[-1]
-    comps = np.empty(lead + arr.shape)
-    d1 = np.empty(lead + arr.shape + (n,))
-    d2 = np.empty(lead + arr.shape + (n, n))
+    comps = _points_innermost(np.empty, lead, arr.shape)
+    d1 = _points_innermost(np.empty, lead, arr.shape + (n,))
+    d2 = _points_innermost(np.empty, lead, arr.shape + (n, n))
     for idx in np.ndindex(*arr.shape):
         jet = exprlang.eval_jet(arr[idx], point, scene.params)
         at = (slice(None),) * len(lead) + idx
@@ -197,7 +209,7 @@ def _from_triangle(rows, scene: Scene, point, sign: float) -> PointEvaluation:
     out = []
     for src, tail in ((upper.components, ()), (upper.d1, (n,)),
                       (upper.d2, (n, n))):
-        full = np.zeros(lead + (n, n) + tail)
+        full = _points_innermost(np.zeros, lead, (n, n) + tail)
         rest = (slice(None),) * len(tail)
         full[(Ellipsis, i, j) + rest] = src
         full[(Ellipsis, j, i) + rest] = sign * src
@@ -234,8 +246,10 @@ def eval_field(scene: Scene, which, point) -> PointEvaluation:
 #
 # Every function below takes arrays with leading block axes (``...``) in
 # front of the tensor indices.  Contractions are written as einsum calls
-# over ``...``, each one elementwise in the block axes, so a point's result
-# does not depend on the block it is computed in.
+# over ``...``, each one elementwise in the block axes.  Results keep the
+# block axes innermost in memory (einsum and ufuncs follow their inputs;
+# the inverse and copies are told to), so a point's result is bitwise the
+# same in any block of two or more points.
 
 
 def inverse_with_partials(m: np.ndarray, d1: np.ndarray | None,
@@ -246,7 +260,8 @@ def inverse_with_partials(m: np.ndarray, d1: np.ndarray | None,
     second-order analogue; the second partials of the inverse are exact
     given exact second partials of M.
     """
-    inv = np.linalg.inv(m)
+    inv = np.empty_like(m)
+    inv[...] = np.linalg.inv(m)
     if d1 is None:
         return inv, None, None
     left = np.einsum("...ia,...abk->...ibk", inv, d1)       # M^-1 d_k M
@@ -271,10 +286,9 @@ def metric_inverse(g_eval: PointEvaluation) -> PointEvaluation:
     return PointEvaluation(inv, dinv, d2inv)
 
 
-def volume_density(g_eval: PointEvaluation, orientation: int = 1) -> PointEvaluation:
+def volume_density(g_eval: PointEvaluation) -> PointEvaluation:
     """sqrt|det g| with first partials (pseudo-Riemannian metrics use the
-    absolute value of the determinant).  ``orientation`` is accepted for
-    symmetry with the volume form but does not affect the density."""
+    absolute value of the determinant)."""
     det = np.linalg.det(g_eval.components)
     if np.any(det == 0.0):
         raise np.linalg.LinAlgError("singular metric")
@@ -338,8 +352,8 @@ def covariant_derivative(tensor_eval: PointEvaluation, ch: Christoffels,
         raise ValueError("covariant derivative needs first partials")
     gamma, dgamma = ch.gamma, ch.d1
     letters = "abcdefgh"[:rank]
-    nabla = dt.copy()
-    dnabla = d2t.copy() if d2t is not None else None
+    nabla = dt.copy(order="K")
+    dnabla = d2t.copy(order="K") if d2t is not None else None
     for pos, var in enumerate(variance):
         src = "..." + letters[:pos] + "s" + letters[pos + 1:]
         out = "..." + letters + "k"

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import exprlang
 from .geometry import Scene
+from .poisson import _perm_sign
 
 __all__ = [
     "LieAlgebraPresentation", "RMatrix", "ValidationReport",
@@ -86,7 +87,7 @@ def su2() -> LieAlgebraPresentation:
     """su(2): C^i_{jk} = eps_{ijk}, B the identity."""
     c = np.zeros((3, 3, 3))
     for i, j, k in itertools.permutations(range(3)):
-        c[i, j, k] = _perm_sign_3(i, j, k)
+        c[i, j, k] = _perm_sign((i, j, k))
     return LieAlgebraPresentation(3, c, np.eye(3), ("e1", "e2", "e3"))
 
 
@@ -99,10 +100,6 @@ def sl2() -> LieAlgebraPresentation:
     c[0, 1, 2], c[0, 2, 1] = 1.0, -1.0
     b = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     return LieAlgebraPresentation(3, c, b, ("H", "E", "F"))
-
-
-def _perm_sign_3(i: int, j: int, k: int) -> float:
-    return float(np.sign((j - i) * (k - i) * (k - j)))
 
 
 def validate(pres: LieAlgebraPresentation) -> ValidationReport:
@@ -177,18 +174,11 @@ def cybe_defect(pres: LieAlgebraPresentation, r: RMatrix) -> np.ndarray:
     c, rm = pres.structure_constants, r.components
     t = np.einsum("iab,aj,bk->ijk", c, rm, rm)
     cyc = t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)
-    n = pres.dim
-    out = np.zeros_like(cyc)
-    for i, j, k in itertools.combinations(range(n), 3):
-        v = cyc[i, j, k]
-        for perm in itertools.permutations((i, j, k)):
-            out[perm] = _perm_sign_3(*_argorder(perm, (i, j, k))) * v
-    return out
-
-
-def _argorder(perm, base):
-    pos = {idx: p for p, idx in enumerate(base)}
-    return tuple(pos[idx] for idx in perm)
+    i, j, k = np.ogrid[:pres.dim, :pres.dim, :pres.dim]
+    upper = np.where((i < j) & (j < k), cyc, 0.0)
+    # each entry gets its one nonzero term, so the signs are exact
+    return sum(_perm_sign(p) * upper.transpose(p)
+               for p in itertools.permutations(range(3)))
 
 
 def qg_divergence(pres: LieAlgebraPresentation, r: RMatrix) -> np.ndarray:

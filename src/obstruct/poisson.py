@@ -107,12 +107,18 @@ def koszul_from(pi: np.ndarray, dpi: np.ndarray,
 
 
 # -- per-point operations ------------------------------------------------------
+#
+# The wrappers that need more than pi evaluate on Frame(scene, point).block,
+# the padded block the grid sweep would evaluate the point in, so their
+# numbers are the sweep's; obstruct.contravariant builds on this module, so
+# they import it when called.
 
 
 def jacobi_defect(scene: Scene, point) -> np.ndarray:
     """Totally antisymmetric J^{ijk} at a point (zero for a Poisson pi)."""
-    pi = geometry.eval_field(scene, "poisson", point)
-    return jacobi_from(pi.components, pi.d1)
+    from .contravariant import Frame
+    f = Frame(scene, point).block
+    return jacobi_from(f.pi, f.dpi)[0]
 
 
 def sharp(scene: Scene, sigma: OneFormField, point) -> np.ndarray:
@@ -134,11 +140,8 @@ def koszul_bracket(scene: Scene, sigma: OneFormField, rho: OneFormField,
 def divergence_defect(scene: Scene, point) -> np.ndarray:
     """nabla_j pi^{ij} with the Levi-Civita connection of the scene metric;
     must vanish for integration to deform into a trace."""
-    g = geometry.eval_field(scene, "metric", point)
-    ch = geometry.christoffels(g)
-    pi = geometry.eval_field(scene, "poisson", point)
-    nabla_pi = geometry.covariant_derivative(pi, ch, "uu")
-    return divergence_from(nabla_pi.components)
+    from .contravariant import Frame
+    return divergence_from(Frame(scene, point).block.nabla_pi)[0]
 
 
 def symplectic_inverse(scene: Scene, point, tol: float = 1e-9) -> np.ndarray:
@@ -147,13 +150,8 @@ def symplectic_inverse(scene: Scene, point, tol: float = 1e-9) -> np.ndarray:
 
     Raises :class:`DegeneratePoissonError` when pi has rank < n.
     """
-    pi = geometry.eval_field(scene, "poisson", point)
-    p = pi.components
-    if pi_rank_from(p, tol) < scene.dimension:
-        raise DegeneratePoissonError(
-            f"poisson structure degenerate at {list(point)}")
-    # pi^{ai} omega_{aj} = delta  <=>  omega = -pi^{-1} as matrices
-    return -np.linalg.inv(p)
+    from .contravariant import Frame, omega_with_partials
+    return omega_with_partials(Frame(scene, point).block, tol)[0][0]
 
 
 def pi_rank_from(pi: np.ndarray, tol: float = 1e-9):
@@ -176,20 +174,8 @@ def pi_rank(scene: Scene, point, tol: float = 1e-9) -> int:
 
 
 def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """Sign of a permutation of 0..n-1: -1 to the number of inversions."""
+    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
 
 
 def _pi_hook_eps(scene: Scene, point) -> np.ndarray:

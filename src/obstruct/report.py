@@ -7,16 +7,17 @@ point, and aggregates the max-abs norm over components and points into an
 
 One process (``OBSTRUCT_WORKERS=1``, the default) sweeps the points in
 blocks of :data:`BLOCK`: each block is one :class:`~obstruct.contravariant.Frame`
-whose arrays carry a leading point axis, it builds only the layers its
-checks need, and each check reduces to one maximum per point.  With more
-workers (``OBSTRUCT_WORKERS``, 0 = auto) every point is a job of its own
-in a process pool.  Both run the same kernel, whose contractions are
-elementwise in the point axis, so a point's numbers are bitwise the same
-in any block and with any worker count; a block in which some point fails
-is evaluated again point by point, so the failing point and its message
-are the same too.  Results are reduced in grid order and the JSON
-rendering contains no volatile fields, so reports are byte-identical
-across runs, block sizes and worker counts.
+whose arrays carry a leading point axis (innermost in memory), it builds
+only the layers its checks need, and each check reduces to one maximum per
+point.  With more workers (``OBSTRUCT_WORKERS``, 0 = auto) every point is a
+job of its own in a process pool.  Both run the same kernel, elementwise in
+the point axis, and a lone point (a pool job, a 1-point tail block) runs as
+the padded block ``[p, p]``, so a point's numbers are bitwise the same in
+any block and with any worker count; a block in which some point fails is
+evaluated again point by point, so the failing point and its message are
+the same too.  Results are reduced in grid order and the JSON rendering
+contains no volatile fields, so reports are byte-identical across runs,
+block sizes and worker counts.
 """
 
 from __future__ import annotations
@@ -183,12 +184,14 @@ def _checked_defects(build, checks: tuple[str, ...]):
 
 
 def _evaluate_point(scene: Scene, checks: tuple[str, ...], point):
-    """Defect magnitudes for one point, with every layer built; returns
+    """Defect magnitudes for one point, row 0 of the padded block
+    ``[p, p]`` (a 1-point block would round differently); returns
     ('error', message) on a failure so reductions stay deterministic."""
-    found = _checked_defects(partial(contravariant.Frame.at, scene, point), checks)
+    pair = np.array([point, point])
+    found = _checked_defects(partial(_block_frame, scene, pair), checks)
     if isinstance(found, str):
         return ("error", found)
-    return ("ok", {check: None if val is None else float(val)
+    return ("ok", {check: None if val is None else float(val[0])
                    for check, val in found.items()})
 
 
@@ -240,7 +243,8 @@ def _map_points(scene: Scene, checks: tuple[str, ...], points):
         outcomes = []
         for start in range(0, len(points), BLOCK):
             block = points[start:start + BLOCK]
-            found = _evaluate_block(scene, checks, np.array(block))
+            found = (_evaluate_block(scene, checks, np.array(block))
+                     if len(block) > 1 else None)  # [p] rounds unlike [p, p]
             if found is None:
                 found = [_evaluate_point(scene, checks, p) for p in block]
             outcomes.extend(found)
@@ -310,6 +314,7 @@ def _run_scene(scene: Scene, cfg: CheckConfig, *, name, digest, started):
     results = []
     failure = next(((p, msg) for p, (status, msg) in zip(points, outcomes)
                     if status == "error"), None)
+    coords = [tuple(p.tolist()) for p in points]
     for check in run:
         tol = cfg.tolerance(check)
         if failure is not None:
@@ -318,22 +323,22 @@ def _run_scene(scene: Scene, cfg: CheckConfig, *, name, digest, started):
                 check, "failed-to-evaluate", tol,
                 reason=f"{msg} at point {pt.tolist()}"))
             continue
-        rows = [(tuple(p.tolist()), payload[check])
-                for p, (_, payload) in zip(points, outcomes)]
-        if not rows:
+        values = [payload[check] for _, payload in outcomes]
+        if not values:
             results.append(CheckResult(check, "skipped", tol,
                                        reason="no-sample-points"))
             continue
-        missing = [pt for pt, val in rows if val is None]
+        missing = values.count(None)
         if check == "gprime_flat" and missing:
-            reason = ("pi-degenerate-everywhere" if len(missing) == len(rows)
-                      else f"pi-degenerate-at {list(missing[0])}")
+            reason = ("pi-degenerate-everywhere" if missing == len(values)
+                      else f"pi-degenerate-at {list(coords[values.index(None)])}")
             results.append(CheckResult(check, "skipped", tol, reason=reason))
             continue
-        best = max(rows, key=lambda row: row[1])
-        status = "pass" if best[1] <= tol else "fail"
-        results.append(CheckResult(check, status, tol, max_defect=best[1],
-                                   argmax_point=best[0], table=tuple(rows)))
+        best = max(values)
+        status = "pass" if best <= tol else "fail"
+        results.append(CheckResult(check, status, tol, max_defect=best,
+                                   argmax_point=coords[values.index(best)],
+                                   table=tuple(zip(coords, values))))
     for check in not_applicable:
         results.append(CheckResult(check, "skipped", cfg.tolerance(check),
                                    reason="not-applicable-to-scene"))
