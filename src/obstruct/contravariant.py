@@ -109,12 +109,18 @@ class Frame:
     def __init__(self, scene: Scene, point):
         self.scene = scene
         self.point = np.asarray(point, dtype=float)
-        self.block = self
+        self._pair = None
         if self.point.ndim == 1:
             if scene.is_excluded(self.point):
                 raise ValueError(
                     f"point {self.point.tolist()} is excluded from the sample domain")
-            self.block = Frame(scene, np.stack([self.point, self.point]))
+            self._pair = Frame(scene, np.stack([self.point, self.point]))
+
+    @property
+    def block(self) -> "Frame":
+        # a property, not an attribute: a block frame referring to itself
+        # would be a reference cycle that only the cyclic GC frees
+        return self if self._pair is None else self._pair
 
     @classmethod
     def at(cls, scene: Scene, point) -> "Frame":
@@ -134,6 +140,12 @@ class Frame:
     @_layer
     def inverse(self) -> tuple[np.ndarray, np.ndarray]:
         return geometry.inverse_with_partials(self.g, self.dg, None)[:2]
+
+    @_layer
+    def d2ginv(self) -> np.ndarray:
+        """Second partials of g^-1, from the inverse already built."""
+        return geometry.inverse_second_partials(self.ginv, self.dginv,
+                                                self.dg, self.d2g)
 
     @_layer
     def christoffels(self) -> Christoffels:
@@ -360,8 +372,7 @@ def gprime(scene: Scene, point, frame: Frame | None = None) -> np.ndarray:
 def gprime_eval(f: Frame) -> PointEvaluation:
     """g' with first and second partials, ready for curvature."""
     o, do, d2o = omega_with_partials(f)
-    ginv, dginv = f.ginv, f.dginv
-    d2ginv = geometry.inverse_with_partials(f.g, f.dg, f.d2g)[2]
+    ginv, dginv, d2ginv = f.ginv, f.dginv, f.d2ginv
     # g' = U o^T with U[j, b] = omega_{ja} g^{ab}; product rule on both
     u = np.einsum("...ja,...ab->...jb", o, ginv)
     du = (np.einsum("...jal,...ab->...jbl", do, ginv)

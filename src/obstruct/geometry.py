@@ -24,7 +24,6 @@ the partial by coordinate ``k`` and ``d2[..., k, l]`` is symmetric in
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +35,7 @@ __all__ = [
     "Scene", "SceneValidationError", "PointEvaluation", "Christoffels",
     "eval_field", "metric_inverse", "volume_density", "christoffels",
     "riemann", "covariant_derivative", "inverse_with_partials",
+    "inverse_second_partials",
 ]
 
 
@@ -102,8 +102,9 @@ class Scene:
                 f"cannot evaluate exclude at {np.asarray(point).tolist()}: "
                 f"{type(err).__name__}: {err}") from err
 
-    def grid(self, counts) -> list[np.ndarray]:
-        """Lexicographically ordered grid over the box, excluded points
+    def grid(self, counts) -> np.ndarray:
+        """Lexicographically ordered grid over the box as one C-ordered
+        ``(P, n)`` array, the points for which :meth:`is_excluded` holds
         dropped.  ``counts`` is one sample count per axis (>= 2)."""
         counts = list(counts)
         if len(counts) == 1:
@@ -114,8 +115,11 @@ class Scene:
         if any(c < 2 for c in counts):
             raise ValueError("grid counts must be >= 2 per axis")
         axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(self.box, counts)]
-        pts = [np.array(p) for p in itertools.product(*axes)]
-        return [p for p in pts if not self.is_excluded(p)]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        pts = pts.reshape(-1, self.dimension)
+        if self.exclude is None:
+            return pts
+        return pts[[not self.is_excluded(p) for p in pts]]
 
     def sample_points(self, rng: np.random.Generator, count: int) -> list[np.ndarray]:
         """Uniform random points in the box, rejecting excluded ones."""
@@ -257,8 +261,7 @@ def inverse_with_partials(m: np.ndarray, d1: np.ndarray | None,
     """Inverse of a matrix field from pointwise data.
 
     Returns ``(inv, d_inv, d2_inv)`` using d(M^-1) = -M^-1 dM M^-1 and its
-    second-order analogue; the second partials of the inverse are exact
-    given exact second partials of M.
+    second-order analogue (:func:`inverse_second_partials`).
     """
     inv = np.empty_like(m)
     inv[...] = np.linalg.inv(m)
@@ -268,12 +271,21 @@ def inverse_with_partials(m: np.ndarray, d1: np.ndarray | None,
     dinv = -np.einsum("...ibk,...bj->...ijk", left, inv)
     if d2 is None:
         return inv, dinv, None
+    return inv, dinv, inverse_second_partials(inv, dinv, d1, d2, left)
+
+
+def inverse_second_partials(inv: np.ndarray, dinv: np.ndarray, d1: np.ndarray,
+                            d2: np.ndarray, left: np.ndarray | None = None):
+    """Second partials of M^-1 from M^-1, its first partials and the first
+    and second partials of M; exact given exact second partials of M.
+    ``left`` is M^-1 d_k M when the caller already has it."""
+    if left is None:
+        left = np.einsum("...ia,...abk->...ibk", inv, d1)
     # M^-1 d_l M M^-1 d_k M M^-1, symmetrized in (k, l)
     t1 = -np.einsum("...ibl,...bjk->...ijkl", left, dinv)
     second = np.einsum("...ia,...abkl->...ibkl", inv, d2)
-    d2inv = (t1 + t1.swapaxes(-1, -2)
-             - np.einsum("...ibkl,...bj->...ijkl", second, inv))
-    return inv, dinv, d2inv
+    return (t1 + t1.swapaxes(-1, -2)
+            - np.einsum("...ibkl,...bj->...ijkl", second, inv))
 
 
 def metric_inverse(g_eval: PointEvaluation) -> PointEvaluation:

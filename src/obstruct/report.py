@@ -5,19 +5,25 @@ explicit point list), evaluates the requested defect tensors at every
 point, and aggregates the max-abs norm over components and points into an
 :class:`ObstructionReport`.
 
-One process (``OBSTRUCT_WORKERS=1``, the default) sweeps the points in
-blocks of :data:`BLOCK`: each block is one :class:`~obstruct.contravariant.Frame`
-whose arrays carry a leading point axis (innermost in memory), it builds
-only the layers its checks need, and each check reduces to one maximum per
-point.  With more workers (``OBSTRUCT_WORKERS``, 0 = auto) every point is a
-job of its own in a process pool.  Both run the same kernel, elementwise in
-the point axis, and a lone point (a pool job, a 1-point tail block) runs as
-the padded block ``[p, p]``, so a point's numbers are bitwise the same in
-any block and with any worker count; a block in which some point fails is
-evaluated again point by point, so the failing point and its message are
-the same too.  Results are reduced in grid order and the JSON rendering
-contains no volatile fields, so reports are byte-identical across runs,
-block sizes and worker counts.
+One process (``OBSTRUCT_WORKERS=1``, the default) sweeps the ``(P, n)``
+grid array in blocks of :func:`block_size` points (at most :data:`BLOCK`,
+and fewer as the dimension grows: a 33 x 33 grid is one block): each block
+is one :class:`~obstruct.contravariant.Frame` whose arrays carry a leading
+point axis (innermost in memory), it builds only the layers its checks
+need, and each check reduces to one float64 array with a value per point,
+NaN for gprime_flat where pi is degenerate.  With more workers
+(``OBSTRUCT_WORKERS``, 0 = auto) every point is a job of its own in a
+process pool, and the jobs' outcomes are gathered into the same arrays.
+Both run the same kernel, elementwise in the point axis, and a lone point
+(a pool job, a 1-point block) runs as the padded block ``[p, p]``, so a
+point's numbers are bitwise the same in any block and with any worker
+count.  No block falls back to its single points: where pi is degenerate
+at some points of a block only, g' is evaluated on a sub-block of the
+others, and a block that fails is bisected into sub-blocks until its
+first failing point is found, whose message is then the one a pool job
+reports.  Results are reduced in grid order (:func:`numpy.argmax` takes
+the first maximum) and the JSON rendering contains no volatile fields, so
+reports are byte-identical across runs, block sizes and worker counts.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -116,83 +121,76 @@ class ObstructionReport:
 
 # points per block of the single-process sweep: enough to share NumPy's
 # per-call overhead among many points, few enough to keep the arrays small.
-# On su2-dual at grid 15 (3,374 points, every check; 2-vCPU x86-64 host)
-# the CLI peaked at 42.8 MB RSS with these blocks and at 65.1 MB with the
-# whole grid as one block.
-BLOCK = 256
+# A block holds at most _BLOCK_BUDGET // n**3 points, so its largest arrays
+# (n**4 entries per point) stay near the same size in every dimension: the
+# whole 33 x 33 grid of a 2-D scene is one block, a 3-D block holds 606
+# points and a 4-D block 256.
+BLOCK = 2048
+_BLOCK_BUDGET = 2 ** 14
 
 # what evaluating a point may raise: jet domain errors, overflow in
 # constant arithmetic, a singular metric
 _EVAL_ERRORS = (ArithmeticError, np.linalg.LinAlgError)
 
 
-def _max_abs(val: np.ndarray, lead: int) -> np.ndarray:
-    """Max-abs over the tensor indices, one value per point."""
-    return np.abs(val).reshape(val.shape[:lead] + (-1,)).max(axis=-1)
+def block_size(dimension: int) -> int:
+    """Points per block of the single-process sweep in ``dimension``."""
+    return max(1, min(BLOCK, _BLOCK_BUDGET // dimension ** 3))
+
+
+def _max_abs(val: np.ndarray) -> np.ndarray:
+    """Max-abs over the tensor indices, one value per point of a block;
+    inf where a component is not finite, so that NaN is free to mark a
+    point where a check does not apply."""
+    top = np.abs(val).reshape(len(val), -1).max(axis=-1)
+    top[np.isnan(top)] = np.inf
+    return top
+
+
+def _gprime_flat(frame: contravariant.Frame) -> np.ndarray:
+    """Per-point max-abs of the Riemann tensor of g', NaN where pi is
+    degenerate.  Where pi is degenerate at some points of the block only,
+    g' is evaluated on a fresh frame of the other points (a padded pair
+    for one point), which rounds each of them as the whole block would."""
+    scene, points = frame.scene, frame.point
+    try:
+        return _max_abs(contravariant.gprime_riemann(scene, points, frame=frame))
+    except DegeneratePoissonError:
+        keep = poisson.pi_rank_from(frame.pi) == scene.dimension
+    out = np.full(len(points), np.nan)
+    if keep.any():
+        sub = points[keep]
+        sub = np.concatenate([sub, sub]) if len(sub) == 1 else sub
+        found = contravariant.gprime_riemann(
+            scene, sub, frame=contravariant.Frame(scene, sub))
+        out[keep] = _max_abs(found)[:np.count_nonzero(keep)]
+    return out
 
 
 def _defects(frame: contravariant.Frame, checks: tuple[str, ...]) -> dict:
-    """Per-point defect magnitudes of each check on a frame of one point
-    or a block; None for gprime_flat where pi is degenerate at every
-    point.  Raises DegeneratePoissonError if pi is degenerate at some
-    points of a block but not at all of them."""
-    scene, point = frame.scene, frame.point
-    out: dict[str, np.ndarray | None] = {}
+    """Per-point defect magnitudes of each check on a block frame; NaN for
+    gprime_flat where pi is degenerate."""
+    scene, points = frame.scene, frame.point
+    out: dict[str, np.ndarray] = {}
     for check in checks:
         if check == "jacobi":
             val = poisson.jacobi_from(frame.pi, frame.dpi)
         elif check == "divergence":
             val = poisson.divergence_from(frame.nabla_pi)
         elif check == "torsion":
-            val = contravariant.torsion_defect(scene, point, frame=frame)
+            val = contravariant.torsion_defect(scene, points, frame=frame)
         elif check == "metric_compat":
-            val = contravariant.metric_compat_defect(scene, point, frame=frame)
+            val = contravariant.metric_compat_defect(scene, points, frame=frame)
         elif check == "curvature":
-            val = contravariant.curvature_explicit(scene, point,
+            val = contravariant.curvature_explicit(scene, points,
                                                    frame=frame).components
         elif check == "gprime_flat":
-            try:
-                val = contravariant.gprime_riemann(scene, point, frame=frame)
-            except DegeneratePoissonError:
-                if np.all(poisson.pi_rank_from(frame.pi) < scene.dimension):
-                    out[check] = None  # degenerate here; check gets skipped
-                    continue
-                raise
+            out[check] = _gprime_flat(frame)
+            continue
         else:
             raise ValueError(f"unknown scene check {check!r}")
-        out[check] = _max_abs(val, point.ndim - 1)
+        out[check] = _max_abs(val)
     return out
-
-
-def _checked_defects(build, checks: tuple[str, ...]):
-    """The defects of ``checks`` on the frame ``build()`` returns, or the
-    message of the first failure: an evaluation error, then a non-finite
-    field or partial derivative, then a non-finite defect."""
-    with np.errstate(all="ignore"):
-        try:
-            frame = build()
-            defects = _defects(frame, checks)
-        except (*_EVAL_ERRORS, DegeneratePoissonError) as err:
-            return f"{type(err).__name__}: {err}"
-    fields = (frame.g, frame.dg, frame.d2g, frame.pi, frame.dpi, frame.d2pi)
-    if not all(np.isfinite(arr).all() for arr in fields):
-        return "non-finite metric or poisson field"
-    for check, val in defects.items():
-        if val is not None and not np.isfinite(val).all():
-            return f"non-finite {check} defect"
-    return defects
-
-
-def _evaluate_point(scene: Scene, checks: tuple[str, ...], point):
-    """Defect magnitudes for one point, row 0 of the padded block
-    ``[p, p]`` (a 1-point block would round differently); returns
-    ('error', message) on a failure so reductions stay deterministic."""
-    pair = np.array([point, point])
-    found = _checked_defects(partial(_block_frame, scene, pair), checks)
-    if isinstance(found, str):
-        return ("error", found)
-    return ("ok", {check: None if val is None else float(val[0])
-                   for check, val in found.items()})
 
 
 def _block_frame(scene: Scene, points: np.ndarray) -> contravariant.Frame:
@@ -206,18 +204,55 @@ def _block_frame(scene: Scene, points: np.ndarray) -> contravariant.Frame:
     return frame
 
 
-def _evaluate_block(scene: Scene, checks: tuple[str, ...], points: np.ndarray):
-    """Outcomes of a block of points through the batched kernel, or None
-    when the block must be evaluated point by point: some point fails, or
-    pi is degenerate at some of its points but not all."""
-    found = _checked_defects(partial(_block_frame, scene, points), checks)
+def _block_defects(scene: Scene, checks: tuple[str, ...], points: np.ndarray):
+    """The defects of ``checks`` on a block of points, or the message of
+    its first failure: an evaluation error, then a non-finite field or
+    partial derivative, then a non-finite defect.  A lone point is
+    evaluated as the padded block ``[p, p]`` (a 1-point block would round
+    differently) and keeps row 0."""
+    lone = len(points) == 1
+    with np.errstate(all="ignore"):
+        try:
+            frame = _block_frame(
+                scene, np.concatenate([points, points]) if lone else points)
+            defects = _defects(frame, checks)
+        except (*_EVAL_ERRORS, DegeneratePoissonError) as err:
+            return f"{type(err).__name__}: {err}"
+    fields = (frame.g, frame.dg, frame.d2g, frame.pi, frame.dpi, frame.d2pi)
+    if not all(np.isfinite(arr).all() for arr in fields):
+        return "non-finite metric or poisson field"
+    for check, val in defects.items():
+        if np.isinf(val).any():
+            return f"non-finite {check} defect"
+    return {check: val[:1] for check, val in defects.items()} if lone else defects
+
+
+def _evaluate_point(scene: Scene, checks: tuple[str, ...], point):
+    """The pool's job: defect magnitude per check at one point (NaN for
+    gprime_flat where pi is degenerate), or the message of its failure."""
+    found = _block_defects(scene, checks, np.asarray(point)[None])
     if isinstance(found, str):
-        return None
-    rows = {check: None if val is None else val.tolist()
-            for check, val in found.items()}
-    return [("ok", {check: None if vals is None else vals[i]
-                    for check, vals in rows.items()})
-            for i in range(len(points))]
+        return found
+    return {check: float(val[0]) for check, val in found.items()}
+
+
+def _evaluate_block(scene: Scene, checks: tuple[str, ...], points: np.ndarray):
+    """``(defects, None)`` for a block of points, or ``(None, (index,
+    message))`` naming its first point that fails alone.  That point is
+    found by bisection over sub-blocks, each of which fails exactly when
+    one of its points does, and its message is the one a pool worker
+    reports for it."""
+    found = _block_defects(scene, checks, points)
+    if not isinstance(found, str):
+        return found, None
+    lo, hi = 0, len(points)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if isinstance(_block_defects(scene, checks, points[lo:mid]), str):
+            hi = mid
+        else:
+            lo = mid
+    return None, (lo, _evaluate_point(scene, checks, points[lo]))
 
 
 def _worker_count() -> int:
@@ -233,28 +268,36 @@ def _worker_count() -> int:
     return count
 
 
-def _map_points(scene: Scene, checks: tuple[str, ...], points):
-    """One outcome per point in grid order, up to the first failing point
-    at least.  One process sweeps blocks of :data:`BLOCK` points; a block
-    that fails is evaluated again point by point, so the failing point and
-    its message are those that a worker reports for it."""
+def _map_points(scene: Scene, checks: tuple[str, ...], points: np.ndarray):
+    """``(defects, None)`` with one array per check over ``points`` (a
+    ``(P, n)`` array in grid order), or ``(None, (index, message))`` for
+    the first point that fails.  One process sweeps blocks of
+    :func:`block_size` points; more workers evaluate every point as a job
+    of its own, and their outcomes are gathered into the same arrays."""
     workers = _worker_count()
     if workers <= 1 or len(points) <= 1:
-        outcomes = []
-        for start in range(0, len(points), BLOCK):
-            block = points[start:start + BLOCK]
-            found = (_evaluate_block(scene, checks, np.array(block))
-                     if len(block) > 1 else None)  # [p] rounds unlike [p, p]
-            if found is None:
-                found = [_evaluate_point(scene, checks, p) for p in block]
-            outcomes.extend(found)
-            if any(status == "error" for status, _ in found):
-                break
-        return outcomes
+        size = block_size(scene.dimension)
+        defects = {check: np.empty(len(points)) for check in checks}
+        for start in range(0, len(points), size):
+            found, failure = _evaluate_block(scene, checks,
+                                             points[start:start + size])
+            if failure is not None:
+                return None, (start + failure[0], failure[1])
+            for check in checks:
+                defects[check][start:start + size] = found[check]
+        return defects, None
+    # imported here: the pool's modules add about 20 ms to every start
+    from concurrent.futures import ProcessPoolExecutor
+
     job = partial(_evaluate_point, scene, checks)
     chunk = max(1, len(points) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, points, chunksize=chunk))
+        outcomes = list(pool.map(job, points, chunksize=chunk))
+    for index, outcome in enumerate(outcomes):
+        if isinstance(outcome, str):
+            return None, (index, outcome)
+    return {check: np.array([outcome[check] for outcome in outcomes])
+            for check in checks}, None
 
 
 # -- orchestration --------------------------------------------------------------
@@ -304,41 +347,41 @@ def _run_scene(scene: Scene, cfg: CheckConfig, *, name, digest, started):
                 raise ValueError(
                     f"sample point {p.tolist()} does not match scene "
                     f"dimension {scene.dimension}")
-        points = [p for p in points if not scene.is_excluded(p)]
+        points = np.array([p for p in points if not scene.is_excluded(p)],
+                          dtype=float).reshape(-1, scene.dimension)
         grid = None
     else:
         points = scene.grid(cfg.grid)
         grid = tuple(cfg.grid) if len(cfg.grid) > 1 else (cfg.grid[0],) * scene.dimension
-    outcomes = _map_points(scene, run, points)
+    defects, failure = _map_points(scene, run, points)
 
     results = []
-    failure = next(((p, msg) for p, (status, msg) in zip(points, outcomes)
-                    if status == "error"), None)
-    coords = [tuple(p.tolist()) for p in points]
+    coords = list(map(tuple, points.tolist()))
     for check in run:
         tol = cfg.tolerance(check)
         if failure is not None:
-            pt, msg = failure
+            index, msg = failure
             results.append(CheckResult(
                 check, "failed-to-evaluate", tol,
-                reason=f"{msg} at point {pt.tolist()}"))
+                reason=f"{msg} at point {points[index].tolist()}"))
             continue
-        values = [payload[check] for _, payload in outcomes]
-        if not values:
+        values = defects[check]
+        if not len(values):
             results.append(CheckResult(check, "skipped", tol,
                                        reason="no-sample-points"))
             continue
-        missing = values.count(None)
-        if check == "gprime_flat" and missing:
-            reason = ("pi-degenerate-everywhere" if missing == len(values)
-                      else f"pi-degenerate-at {list(coords[values.index(None)])}")
+        missing = np.isnan(values)
+        if missing.any():  # gprime_flat where pi is degenerate
+            reason = ("pi-degenerate-everywhere" if missing.all()
+                      else f"pi-degenerate-at {list(coords[np.argmax(missing)])}")
             results.append(CheckResult(check, "skipped", tol, reason=reason))
             continue
-        best = max(values)
+        top = int(np.argmax(values))  # the first maximum
+        best = float(values[top])
         status = "pass" if best <= tol else "fail"
         results.append(CheckResult(check, status, tol, max_defect=best,
-                                   argmax_point=coords[values.index(best)],
-                                   table=tuple(zip(coords, values))))
+                                   argmax_point=coords[top],
+                                   table=tuple(zip(coords, values.tolist()))))
     for check in not_applicable:
         results.append(CheckResult(check, "skipped", cfg.tolerance(check),
                                    reason="not-applicable-to-scene"))

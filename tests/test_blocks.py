@@ -55,9 +55,12 @@ def test_blocks_match_single_points_bitwise(name):
         alone = Frame.at(scene, point)
         for layer in LAYERS:
             assert np.array_equal(getattr(block, layer)[i], getattr(alone, layer)), layer
-    outcomes = report._evaluate_block(scene, SCENE_CHECKS, points)
-    assert outcomes == [report._evaluate_point(scene, SCENE_CHECKS, p)
-                        for p in points]
+    defects, failure = report._evaluate_block(scene, SCENE_CHECKS, points)
+    assert failure is None
+    alone = [report._evaluate_point(scene, SCENE_CHECKS, p) for p in points]
+    for check in SCENE_CHECKS:
+        row = np.array([outcome[check] for outcome in alone])
+        assert row.tobytes() == defects[check].tobytes(), check
 
 
 def test_block_size_does_not_change_the_report(monkeypatch):
@@ -103,7 +106,12 @@ def test_mixed_degeneracy_falls_back_to_single_points():
     scene = make_scene(["x", "y"], [["1", "0"], ["0", "1"]],
                        [["0", "x"], ["-x", "0"]], [(-1.0, 1.0), (-1.0, 1.0)])
     points = np.array(scene.grid((3,)))
-    assert report._evaluate_block(scene, ("gprime_flat",), points) is None
+    defects, failure = report._evaluate_block(scene, ("gprime_flat",), points)
+    assert failure is None
+    alone = [report._evaluate_point(scene, ("gprime_flat",), p)["gprime_flat"]
+             for p in points]
+    assert np.array(alone).tobytes() == defects["gprime_flat"].tobytes()
+    assert np.isnan(alone).tolist() == [x == 0.0 for x, _ in points]
     rep = run_checks(scene, CheckConfig(checks=("gprime_flat",), grid=(3,)))
     assert rep.checks[0].status == "skipped"
     assert rep.checks[0].reason == "pi-degenerate-at [0.0, -1.0]"
