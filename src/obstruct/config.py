@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -56,6 +57,9 @@ def scene_from_config(doc: dict) -> Scene:
         raise ConfigError(
             f"dimension {n} does not match {len(coords)} coordinate names")
     params = {str(k): float(v) for k, v in dict(doc.get("params", {})).items()}
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"param {key!r} must be finite, got {value}")
     names = list(params)
 
     def parse_matrix(key: str):
@@ -74,6 +78,8 @@ def scene_from_config(doc: dict) -> Scene:
     if len(box_doc) != n or any(len(b) != 2 for b in box_doc):
         raise ConfigError("box must give one [lo, hi] pair per axis")
     box = tuple((float(lo), float(hi)) for lo, hi in box_doc)
+    if not all(map(math.isfinite, sum(box, ()))):
+        raise ConfigError(f"box bounds must be finite, got {[list(b) for b in box]}")
     if any(hi <= lo for lo, hi in box):
         raise ConfigError("box bounds must satisfy lo < hi")
     exclude = None

@@ -103,7 +103,8 @@ class Frame:
     frame itself for a block, the padded block ``[p, p]`` for a single
     point, whose frame keeps row 0.  :meth:`at` builds all layers; the grid
     sweep constructs a frame directly, so a block builds only the layers
-    its checks need.
+    its checks need.  The metric layer takes pi from the same run of the
+    scene's compiled program; pi asked for first evaluates pi alone.
     """
 
     def __init__(self, scene: Scene, point):
@@ -131,7 +132,9 @@ class Frame:
 
     @_layer
     def metric_eval(self) -> PointEvaluation:
-        return geometry.eval_field(self.scene, "metric", self.point)
+        metric, pi = geometry.eval_fields(self.scene, self.point)
+        self.__dict__.setdefault("pi_eval", pi)
+        return metric
 
     @_layer
     def pi_eval(self) -> PointEvaluation:
@@ -353,12 +356,13 @@ def curvature_definitional(scene: Scene, point, frame: Frame | None = None) -> C
 
 def omega_with_partials(f: Frame, tol: float = 1e-9):
     """omega = -pi^-1 with first and second partials; raises
-    :class:`DegeneratePoissonError` where pi has rank < n."""
-    degenerate = poisson.pi_rank_from(f.pi, tol) < f.scene.dimension
-    if np.any(degenerate):
+    :class:`DegeneratePoissonError` where pi has rank < n (decided by
+    :func:`~obstruct.poisson.pi_full_rank`, as the SVD would)."""
+    full, inv = poisson.pi_full_rank(f.pi, tol)
+    if not full.all():
         raise DegeneratePoissonError(
-            f"poisson structure degenerate at {f.point[degenerate][0].tolist()}")
-    inv, dinv, d2inv = geometry.inverse_with_partials(f.pi, f.dpi, f.d2pi)
+            f"poisson structure degenerate at {f.point[~full][0].tolist()}", full)
+    inv, dinv, d2inv = geometry.inverse_with_partials(f.pi, f.dpi, f.d2pi, inv)
     return -inv, -dinv, -d2inv
 
 

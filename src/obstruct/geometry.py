@@ -4,11 +4,12 @@ A :class:`Scene` is one coordinate chart carrying a metric and a Poisson
 bivector as expression fields, plus the box on which they are sampled.
 Everything downstream consumes :class:`PointEvaluation` data: tensor
 components together with all first and second partial derivatives at a
-point, obtained by evaluating each component expression through degree-2
-jets.  Derived quantities (inverse metric, Christoffel symbols, Riemann
-curvature, covariant derivatives) keep carrying one order of derivative
-less than their inputs, which is exactly what the second-order obstruction
-tensors need.
+point, obtained by evaluating the component expressions through degree-2
+jets, as one compiled program per scene (:meth:`Scene.program`).  Derived
+quantities (inverse metric, Christoffel symbols, Riemann curvature,
+covariant derivatives) keep carrying one order of derivative less than
+their inputs, which is exactly what the second-order obstruction tensors
+need.
 
 Every array may carry leading axes in front of its tensor indices: a
 block of points is evaluated as one batch, its point axis innermost in
@@ -24,7 +25,9 @@ the partial by coordinate ``k`` and ``d2[..., k, l]`` is symmetric in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .exprlang import Expr
 __all__ = [
     "Scene", "SceneValidationError", "PointEvaluation", "Christoffels",
     "eval_field", "metric_inverse", "volume_density", "christoffels",
-    "riemann", "covariant_derivative", "inverse_with_partials",
+    "riemann", "covariant_derivative", "inverse_with_partials", "eval_fields",
     "inverse_second_partials",
 ]
 
@@ -90,6 +93,23 @@ class Scene:
     def dimension(self) -> int:
         return len(self.coords)
 
+    @cached_property
+    def _programs(self) -> dict[str, exprlang.JetProgram]:
+        return {}
+
+    def program(self, which: str) -> exprlang.JetProgram:
+        """The jet program of the metric's upper triangle (``"metric"``),
+        pi's strict upper triangle (``"poisson"``) or both, metric first
+        (``"fields"``), compiled on first use and kept on the scene."""
+        if which not in self._programs:
+            n = self.dimension
+            metric = [self.metric[a][b] for a, b in _triangle(n, False)]
+            poisson = [self.poisson[a][b] for a, b in _triangle(n, True)]
+            trees = {"metric": metric, "poisson": poisson,
+                     "fields": metric + poisson}[which]
+            self._programs[which] = exprlang.compile_jets(trees)
+        return self._programs[which]
+
     # -- sampling ------------------------------------------------------------
 
     def is_excluded(self, point) -> bool:
@@ -114,8 +134,13 @@ class Scene:
                 f"grid needs {self.dimension} per-axis counts, got {len(counts)}")
         if any(c < 2 for c in counts):
             raise ValueError("grid counts must be >= 2 per axis")
-        axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(self.box, counts)]
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        try:
+            axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(self.box, counts)]
+            pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        except MemoryError:
+            raise ValueError(
+                f"grid {'x'.join(map(str, counts))} of {math.prod(counts)} "
+                f"points does not fit in memory") from None
         pts = pts.reshape(-1, self.dimension)
         if self.exclude is None:
             return pts
@@ -176,49 +201,37 @@ class Scene:
 # -- field evaluation ----------------------------------------------------------
 
 
-def _points_innermost(alloc, lead, shape) -> np.ndarray:
-    """``alloc`` of an array ``lead + shape``, ``lead`` innermost in memory."""
-    k = len(shape)
-    return alloc(shape + lead).transpose(
-        tuple(range(k, k + len(lead))) + tuple(range(k)))
-
-
-def _eval_array(exprs, scene: Scene, point) -> PointEvaluation:
-    """Jets of an array of expressions; the array's indices follow the
-    point's leading (block) axes."""
-    arr = np.asarray(exprs, dtype=object)
-    lead, n = point.shape[:-1], point.shape[-1]
-    comps = _points_innermost(np.empty, lead, arr.shape)
-    d1 = _points_innermost(np.empty, lead, arr.shape + (n,))
-    d2 = _points_innermost(np.empty, lead, arr.shape + (n, n))
-    for idx in np.ndindex(*arr.shape):
-        jet = exprlang.eval_jet(arr[idx], point, scene.params)
-        at = (slice(None),) * len(lead) + idx
-        comps[at] = jet.value
-        d1[at] = jet.gradient
-        d2[at] = jet.hessian
-    return PointEvaluation(comps, d1, d2)
-
-
-def _from_triangle(rows, scene: Scene, point, sign: float) -> PointEvaluation:
-    """A symmetric (``sign=+1``, from the upper triangle) or antisymmetric
-    (``sign=-1``, from the strict upper triangle, zero diagonal) matrix
-    field; each entry is evaluated once and mirrored exactly."""
-    n = len(rows)
-    first = 0 if sign > 0 else 1
-    i = [a for a in range(n) for _ in range(a + first, n)]
-    j = [b for a in range(n) for b in range(a + first, n)]
-    upper = _eval_array([rows[a][b] for a, b in zip(i, j)], scene, point)
-    lead = point.shape[:-1]
+def _write(jets, cells, shape, n: int, lead, sign: float | None = None
+           ) -> PointEvaluation:
+    """Each jet's channels written straight into C-ordered ``shape + tail
+    + lead`` buffers at its cell (and, given a ``sign``, ``sign`` times
+    them at the mirrored cell), returned as views with the point axes in
+    front, where block arrays carry them, and innermost in memory."""
     out = []
-    for src, tail in ((upper.components, ()), (upper.d1, (n,)),
-                      (upper.d2, (n, n))):
-        full = _points_innermost(np.zeros, lead, (n, n) + tail)
-        rest = (slice(None),) * len(tail)
-        full[(Ellipsis, i, j) + rest] = src
-        full[(Ellipsis, j, i) + rest] = sign * src
-        out.append(full)
+    for channel, tail in (("value", ()), ("gradient", (n,)),
+                          ("hessian", (n, n))):
+        buf = np.zeros(shape + tail + lead)
+        for cell, jet in zip(cells, jets):
+            x = getattr(jet, channel)
+            buf[cell] = x
+            if sign is not None:
+                buf[cell[::-1]] = sign * x
+        out.append(np.moveaxis(buf, range(-len(lead), 0), range(len(lead))))
     return PointEvaluation(*out)
+
+
+def _triangle(n: int, strict: bool) -> list[tuple[int, int]]:
+    """The cells on and above the diagonal (above it if ``strict``), row
+    by row: the entries a matrix field is evaluated at."""
+    return [(a, b) for a in range(n) for b in range(a + strict, n)]
+
+
+def _matrix_field(jets, n: int, lead, strict: bool) -> PointEvaluation:
+    """A symmetric matrix field from the jets of its upper triangle, or
+    (``strict``) an antisymmetric one from its strict upper triangle with
+    a zero diagonal; each entry is mirrored exactly."""
+    return _write(jets, _triangle(n, strict), (n, n), n, lead,
+                  -1.0 if strict else 1.0)
 
 
 def eval_field(scene: Scene, which, point) -> PointEvaluation:
@@ -234,16 +247,37 @@ def eval_field(scene: Scene, which, point) -> PointEvaluation:
     excluded; a block is taken to come from :meth:`Scene.grid`, which has
     already dropped excluded points.
     """
+    point = _checked(scene, point)
+    lead = point.shape[:-1]
+    if isinstance(which, str):
+        if which not in ("metric", "poisson"):
+            raise ValueError(f"unknown field {which!r}")
+        found = scene.program(which).run(point, scene.params)
+        return _matrix_field(found, scene.dimension, lead, which == "poisson")
+    arr = np.asarray(which, dtype=object)
+    found = exprlang.compile_jets(list(arr.flat)).run(point, scene.params)
+    return _write(found, list(np.ndindex(*arr.shape)), arr.shape,
+                  point.shape[-1], lead)
+
+
+def eval_fields(scene: Scene, point) -> tuple[PointEvaluation, PointEvaluation]:
+    """The metric and the Poisson field, as :func:`eval_field` gives them,
+    from one run of the scene's compiled program: a subtree the two share
+    is evaluated once, and a failure is the one evaluating the metric and
+    then pi would meet first."""
+    point = _checked(scene, point)
+    n, lead = scene.dimension, point.shape[:-1]
+    found = scene.program("fields").run(point, scene.params)
+    upper = n * (n + 1) // 2
+    return (_matrix_field(found[:upper], n, lead, False),
+            _matrix_field(found[upper:], n, lead, True))
+
+
+def _checked(scene: Scene, point) -> np.ndarray:
     point = np.asarray(point, dtype=float)
     if point.ndim == 1 and scene.is_excluded(point):
         raise ValueError(f"point {list(point)} is excluded from the sample domain")
-    if isinstance(which, str):
-        if which == "metric":
-            return _from_triangle(scene.metric, scene, point, sign=+1.0)
-        if which == "poisson":
-            return _from_triangle(scene.poisson, scene, point, sign=-1.0)
-        raise ValueError(f"unknown field {which!r}")
-    return _eval_array(which, scene, point)
+    return point
 
 
 # -- derived quantities --------------------------------------------------------
@@ -257,14 +291,16 @@ def eval_field(scene: Scene, which, point) -> PointEvaluation:
 
 
 def inverse_with_partials(m: np.ndarray, d1: np.ndarray | None,
-                          d2: np.ndarray | None):
+                          d2: np.ndarray | None, inv: np.ndarray | None = None):
     """Inverse of a matrix field from pointwise data.
 
     Returns ``(inv, d_inv, d2_inv)`` using d(M^-1) = -M^-1 dM M^-1 and its
-    second-order analogue (:func:`inverse_second_partials`).
+    second-order analogue (:func:`inverse_second_partials`).  ``inv`` is
+    ``np.linalg.inv(m)`` when the caller already has it.
     """
+    found = np.linalg.inv(m) if inv is None else inv
     inv = np.empty_like(m)
-    inv[...] = np.linalg.inv(m)
+    inv[...] = found
     if d1 is None:
         return inv, None, None
     left = np.einsum("...ia,...abk->...ibk", inv, d1)       # M^-1 d_k M

@@ -2,14 +2,17 @@
 
 A :class:`Jet2` carries the exact value, gradient, and Hessian of a smooth
 scalar expression at a chart point, or at a block of points: the value has
-the block's shape ``S`` (``()`` for one point), the gradient ``S + (n,)``
-and the Hessian ``S + (n, n)``.  Arithmetic and the elementary functions
-(exp, log, sin, cos, sqrt, real powers) propagate all three channels
-through the exact first- and second-order chain rule, so any composition of
-supported operations yields exact first and second partial derivatives,
-with no truncation error beyond floating-point rounding.
+the block's shape ``S`` (``()`` for one point), the gradient ``(n,) + S``
+and the Hessian ``(n, n) + S``, so the point axes come last and every
+operation's inner loop runs along the points.  A constant in a block has
+unit axes in place of ``S`` (gradient ``(n, 1)`` in a 1-D block) and
+broadcasts.  Arithmetic and the elementary functions (exp, log, sin, cos,
+sqrt, real powers) propagate all three channels through the exact first-
+and second-order chain rule, so any composition of supported operations
+yields exact first and second partial derivatives, with no truncation
+error beyond floating-point rounding.
 
-Every operation is elementwise over the leading axes and uses the same
+Every operation is elementwise over the point axes and uses the same
 NumPy ufuncs whatever their shape, so a point's jet is bitwise the same
 alone and inside any block.  Powers go through ``np.power`` explicitly: the
 ``**`` operator on NumPy scalars and arrays takes shortcuts (squares, the C
@@ -21,23 +24,26 @@ sign, or comparison inside jets.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Jet2", "JetDomainError", "constant", "coordinate", "lift", "apply"]
+__all__ = ["Jet2", "JetDomainError", "constant", "coordinate", "lift", "apply",
+           "OPERATIONS"]
 
 
 class JetDomainError(ArithmeticError):
     """Raised when an operation leaves its smooth domain (1/0, log(-1), ...)."""
 
 
-def _as_jet(x, dim: int) -> "Jet2":
+def _as_jet(x, like: "Jet2") -> "Jet2":
     if isinstance(x, Jet2):
-        if x.dimension != dim:
-            raise ValueError(f"jet dimension mismatch: {x.dimension} != {dim}")
+        if x.dimension != like.dimension:
+            raise ValueError(
+                f"jet dimension mismatch: {x.dimension} != {like.dimension}")
         return x
-    return constant(float(x), dim)
+    return constant(float(x), like.dimension, like.gradient.ndim - 1)
 
 
 def _first(value, bad) -> float:
@@ -45,16 +51,8 @@ def _first(value, bad) -> float:
     return float(np.asarray(value)[np.asarray(bad)].flat[0])
 
 
-def _col(value, axes: int = 1):
-    """``value`` with ``axes`` trailing unit axes, to scale a gradient (1)
-    or a Hessian (2); a single point's scalar broadcasts as it is."""
-    if getattr(value, "ndim", 0) == 0:
-        return value
-    return value.reshape(value.shape + (1,) * axes)
-
-
 def _outer(a, b):
-    return a[..., :, None] * b[..., None, :]
+    return a[:, None] * b[None]
 
 
 @dataclass(frozen=True)
@@ -67,12 +65,12 @@ class Jet2:
     """
 
     value: np.ndarray    # shape S; a float for a constant
-    gradient: np.ndarray  # shape S + (n,)
-    hessian: np.ndarray   # shape S + (n, n), symmetric
+    gradient: np.ndarray  # shape (n,) + S
+    hessian: np.ndarray   # shape (n, n) + S, symmetric
 
     @property
     def dimension(self) -> int:
-        return self.gradient.shape[-1]
+        return self.gradient.shape[0]
 
     @property
     def is_constant(self) -> bool:
@@ -81,7 +79,7 @@ class Jet2:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "Jet2":
-        o = _as_jet(other, self.dimension)
+        o = _as_jet(other, self)
         return Jet2(self.value + o.value, self.gradient + o.gradient,
                     self.hessian + o.hessian)
 
@@ -91,33 +89,32 @@ class Jet2:
         return Jet2(-self.value, -self.gradient, -self.hessian)
 
     def __sub__(self, other) -> "Jet2":
-        o = _as_jet(other, self.dimension)
+        o = _as_jet(other, self)
         return Jet2(self.value - o.value, self.gradient - o.gradient,
                     self.hessian - o.hessian)
 
     def __rsub__(self, other) -> "Jet2":
-        return _as_jet(other, self.dimension) - self
+        return _as_jet(other, self) - self
 
     def __mul__(self, other) -> "Jet2":
-        o = _as_jet(other, self.dimension)
+        o = _as_jet(other, self)
         v, w = self.value, o.value
         cross = _outer(self.gradient, o.gradient)
         # (cross + cross.T) first: summing the transposes in one step keeps
         # the Hessian bitwise symmetric
         return Jet2(
             v * w,
-            _col(v) * o.gradient + _col(w) * self.gradient,
-            _col(v, 2) * o.hessian + _col(w, 2) * self.hessian
-            + (cross + cross.swapaxes(-1, -2)),
+            v * o.gradient + w * self.gradient,
+            v * o.hessian + w * self.hessian + (cross + cross.swapaxes(0, 1)),
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet2":
-        return self * _as_jet(other, self.dimension)._reciprocal()
+        return self * _as_jet(other, self)._reciprocal()
 
     def __rtruediv__(self, other) -> "Jet2":
-        return _as_jet(other, self.dimension) * self._reciprocal()
+        return _as_jet(other, self) * self._reciprocal()
 
     def __pow__(self, exponent) -> "Jet2":
         if isinstance(exponent, Jet2):
@@ -132,8 +129,7 @@ class Jet2:
     def _compose(self, f0, f1, f2) -> "Jet2":
         """Chain rule for a scalar function with derivatives f0, f1, f2 here."""
         g = self.gradient
-        return Jet2(f0, _col(f1) * g,
-                    _col(f1, 2) * self.hessian + _col(f2, 2) * _outer(g, g))
+        return Jet2(f0, f1 * g, f1 * self.hessian + f2 * _outer(g, g))
 
     def _reciprocal(self) -> "Jet2":
         v = self.value
@@ -147,7 +143,7 @@ class Jet2:
         if p == round(p):
             k = int(round(p))
             if k == 0:
-                return constant(1.0, self.dimension)
+                return constant(1.0, self.dimension, self.gradient.ndim - 1)
             if k == 1:
                 return self
             if k < 0 and np.any(v == 0.0):
@@ -163,9 +159,11 @@ class Jet2:
         return self._compose(f0, p * f0 / v, p * (p - 1.0) * f0 / (v * v))
 
 
-def constant(value: float, dim: int) -> Jet2:
-    """Lift a constant: zero gradient and Hessian."""
-    return Jet2(float(value), np.zeros(dim), np.zeros((dim, dim)))
+def constant(value: float, dim: int, ndim: int = 0) -> Jet2:
+    """Lift a constant: zero gradient and Hessian, with ``ndim`` unit axes
+    to broadcast against a block of that many point axes."""
+    unit = (1,) * ndim
+    return Jet2(float(value), np.zeros((dim,) + unit), np.zeros((dim, dim) + unit))
 
 
 def coordinate(value, index: int, dim: int) -> Jet2:
@@ -173,9 +171,10 @@ def coordinate(value, index: int, dim: int) -> Jet2:
     ``value`` may be an array of that coordinate over a block of points."""
     if not 0 <= index < dim:
         raise IndexError(f"coordinate index {index} out of range for n={dim}")
-    grad = np.zeros(dim)
+    value = np.asarray(value, dtype=float)[()]
+    grad = np.zeros((dim,) + np.shape(value))
     grad[index] = 1.0
-    return Jet2(np.asarray(value, dtype=float)[()], grad, np.zeros((dim, dim)))
+    return Jet2(value, grad, np.zeros((dim, dim) + np.shape(value)))
 
 
 def exp(x: Jet2) -> Jet2:
@@ -212,13 +211,11 @@ def sqrt(x: Jet2) -> Jet2:
 
 FUNCTIONS = {"exp": exp, "log": log, "sin": sin, "cos": cos, "sqrt": sqrt}
 
-_BINARY = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "^": lambda a, b: a ** b,
-}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": operator.pow}
+
+# every operation by name, as a compiled expression program applies them
+OPERATIONS = {**_BINARY, "neg": operator.neg, **FUNCTIONS}
 
 
 def lift(value, coord_index: int | None = None, dim: int = 1) -> Jet2:
@@ -235,16 +232,12 @@ def apply(fn: str, args: list[Jet2]) -> Jet2:
     ``fn`` is one of ``+ - * / ^ neg exp log sin cos sqrt``; all arguments
     must share one chart dimension.
     """
+    if fn not in OPERATIONS:
+        raise ValueError(f"unsupported jet function {fn!r}")
     if fn in _BINARY:
         if len(args) != 2:
             raise ValueError(f"operator {fn!r} takes 2 arguments")
-        a, b = args
-        _as_jet(b, a.dimension)  # dimension check
-        return _BINARY[fn](a, b)
-    if fn == "neg":
-        (a,) = args
-        return -a
-    if fn in FUNCTIONS:
-        (a,) = args
-        return FUNCTIONS[fn](a)
-    raise ValueError(f"unsupported jet function {fn!r}")
+        _as_jet(args[1], args[0])  # dimension check
+    elif len(args) != 1:
+        raise ValueError(f"{fn!r} takes 1 argument")
+    return OPERATIONS[fn](*args)

@@ -27,12 +27,17 @@ from .geometry import PointEvaluation, Scene
 __all__ = [
     "OneFormField", "DegeneratePoissonError",
     "jacobi_defect", "sharp", "koszul_bracket", "divergence_defect",
-    "divergence_oracle", "symplectic_inverse", "pi_rank",
+    "divergence_oracle", "symplectic_inverse", "pi_rank", "pi_full_rank",
 ]
 
 
 class DegeneratePoissonError(ValueError):
-    """The Poisson bivector is not invertible where inversion is required."""
+    """The Poisson bivector is not invertible where inversion is required.
+    ``full`` marks the matrices of the block that have full rank."""
+
+    def __init__(self, message: str, full: np.ndarray | None = None):
+        super().__init__(message)
+        self.full = full
 
 
 @dataclass(frozen=True)
@@ -161,6 +166,40 @@ def pi_rank_from(pi: np.ndarray, tol: float = 1e-9):
     rank = np.count_nonzero(sv > tol * sv[..., :1], axis=-1)
     # singular values of an antisymmetric matrix pair up
     return rank - rank % 2
+
+
+_CERTIFIED = 0.25  # the certificate's margin, see pi_full_rank
+
+
+def pi_full_rank(pi: np.ndarray, tol: float = 1e-9):
+    """``(full, inv)``: where pi has rank n (one bool per matrix of a
+    block), exactly as :func:`pi_rank_from` decides it, and pi^-1 (None
+    if LAPACK finds a matrix of the block singular).
+
+    ``||pi||_F ||pi^-1||_F`` bounds the condition number, so where it is
+    below ``0.25 / tol`` the smallest singular value exceeds ``4 tol``
+    times the largest: full rank for certain, with a margin of 4 that
+    covers the rounding of the inverse and of the SVD.  The certificate
+    thus spares the SVD only where pi is even-dimensional, full-rank and
+    well conditioned.  Only the other matrices run :func:`pi_rank_from`;
+    the whole block does if the inversion raises, and at once if n is
+    odd, since an antisymmetric matrix of odd size is singular.
+    """
+    n = pi.shape[-1]
+    try:
+        inv = None if n % 2 else np.linalg.inv(pi)
+    except np.linalg.LinAlgError:
+        inv = None
+    if inv is None:
+        return pi_rank_from(pi, tol) == n, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = (np.sqrt(np.einsum("...ij,...ij->...", pi, pi))
+                * np.sqrt(np.einsum("...ij,...ij->...", inv, inv)))
+    full = np.asarray(cond < _CERTIFIED / tol)
+    unsure = ~full
+    if unsure.any():
+        full[unsure] = pi_rank_from(pi[unsure], tol) == n
+    return full, inv
 
 
 def pi_rank(scene: Scene, point, tol: float = 1e-9) -> int:

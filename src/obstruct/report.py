@@ -93,7 +93,10 @@ class CheckResult:
     max_defect: float | None = None
     argmax_point: tuple[float, ...] | None = None
     reason: str | None = None
-    table: tuple[tuple[tuple[float, ...], float], ...] | None = None
+    # the sweep's (P, n) points and its (P,) defect magnitudes, kept as
+    # arrays; only the csv-points rendering turns them into rows
+    table: tuple[np.ndarray, np.ndarray] | None = field(default=None,
+                                                        compare=False)
 
 
 @dataclass(frozen=True)
@@ -155,8 +158,8 @@ def _gprime_flat(frame: contravariant.Frame) -> np.ndarray:
     scene, points = frame.scene, frame.point
     try:
         return _max_abs(contravariant.gprime_riemann(scene, points, frame=frame))
-    except DegeneratePoissonError:
-        keep = poisson.pi_rank_from(frame.pi) == scene.dimension
+    except DegeneratePoissonError as err:
+        keep = err.full
     out = np.full(len(points), np.nan)
     if keep.any():
         sub = points[keep]
@@ -347,6 +350,8 @@ def _run_scene(scene: Scene, cfg: CheckConfig, *, name, digest, started):
                 raise ValueError(
                     f"sample point {p.tolist()} does not match scene "
                     f"dimension {scene.dimension}")
+            if not np.isfinite(p).all():
+                raise ValueError(f"sample point {p.tolist()} is not finite")
         points = np.array([p for p in points if not scene.is_excluded(p)],
                           dtype=float).reshape(-1, scene.dimension)
         grid = None
@@ -356,7 +361,6 @@ def _run_scene(scene: Scene, cfg: CheckConfig, *, name, digest, started):
     defects, failure = _map_points(scene, run, points)
 
     results = []
-    coords = list(map(tuple, points.tolist()))
     for check in run:
         tol = cfg.tolerance(check)
         if failure is not None:
@@ -373,15 +377,15 @@ def _run_scene(scene: Scene, cfg: CheckConfig, *, name, digest, started):
         missing = np.isnan(values)
         if missing.any():  # gprime_flat where pi is degenerate
             reason = ("pi-degenerate-everywhere" if missing.all()
-                      else f"pi-degenerate-at {list(coords[np.argmax(missing)])}")
+                      else f"pi-degenerate-at {points[np.argmax(missing)].tolist()}")
             results.append(CheckResult(check, "skipped", tol, reason=reason))
             continue
         top = int(np.argmax(values))  # the first maximum
         best = float(values[top])
         status = "pass" if best <= tol else "fail"
         results.append(CheckResult(check, status, tol, max_defect=best,
-                                   argmax_point=coords[top],
-                                   table=tuple(zip(coords, values.tolist()))))
+                                   argmax_point=tuple(points[top].tolist()),
+                                   table=(points, values)))
     for check in not_applicable:
         results.append(CheckResult(check, "skipped", cfg.tolerance(check),
                                    reason="not-applicable-to-scene"))
@@ -494,16 +498,14 @@ def _render_text(report: ObstructionReport) -> bytes:
 
 
 def _render_csv(report: ObstructionReport) -> bytes:
-    tables = [(c.name, c.table) for c in report.checks if c.table]
+    tables = [(c.name, c.table) for c in report.checks if c.table is not None]
     out = io.StringIO()
-    for idx, (name, table) in enumerate(tables):
+    for idx, (name, (points, values)) in enumerate(tables):
         if len(tables) > 1:
             if idx:
                 out.write("\n")
             out.write(f"# check: {name}\n")
-        dim = len(table[0][0]) if table else 0
-        out.write(",".join(f"x{i}" for i in range(dim)) + ",defect\n")
-        for point, defect in table:
-            cells = [repr(float(x)) for x in point] + [repr(float(defect))]
-            out.write(",".join(cells) + "\n")
+        out.write("".join(f"x{i}," for i in range(points.shape[1])) + "defect\n")
+        for point, defect in zip(points.tolist(), values.tolist()):
+            out.write(",".join(map(repr, point + [defect])) + "\n")
     return out.getvalue().encode("utf-8")
