@@ -24,6 +24,7 @@ from .liealg import LieAlgebraPresentation, RMatrix
 __all__ = [
     "ConfigError", "load_config", "scene_from_config", "scene_to_config",
     "presentation_from_config", "presentation_to_config", "canonical_digest",
+    "hash_canonical",
 ]
 
 
@@ -48,6 +49,16 @@ def _require(doc: dict, key: str, kind: str):
     return doc[key]
 
 
+def _float(value, field: str, array: bool = False):
+    """``value`` as a float, or as a float array; a value that is not a
+    number, or is too large for a float (a JSON integer such as
+    ``10**400``), is a :class:`ConfigError` naming ``field``."""
+    try:
+        return np.asarray(value, dtype=float) if array else float(value)
+    except (OverflowError, TypeError, ValueError) as err:
+        raise ConfigError(f"{field}: {err}") from None
+
+
 def scene_from_config(doc: dict) -> Scene:
     if doc.get("kind") != "scene":
         raise ConfigError(f"expected kind 'scene', got {doc.get('kind')!r}")
@@ -56,7 +67,8 @@ def scene_from_config(doc: dict) -> Scene:
     if n != len(coords):
         raise ConfigError(
             f"dimension {n} does not match {len(coords)} coordinate names")
-    params = {str(k): float(v) for k, v in dict(doc.get("params", {})).items()}
+    params = {str(k): _float(v, f"param {k!r}")
+              for k, v in dict(doc.get("params", {})).items()}
     for key, value in params.items():
         if not math.isfinite(value):
             raise ConfigError(f"param {key!r} must be finite, got {value}")
@@ -77,7 +89,8 @@ def scene_from_config(doc: dict) -> Scene:
     box_doc = _require(doc, "box", "scene")
     if len(box_doc) != n or any(len(b) != 2 for b in box_doc):
         raise ConfigError("box must give one [lo, hi] pair per axis")
-    box = tuple((float(lo), float(hi)) for lo, hi in box_doc)
+    box = tuple((_float(lo, "box bound"), _float(hi, "box bound"))
+                for lo, hi in box_doc)
     if not all(map(math.isfinite, sum(box, ()))):
         raise ConfigError(f"box bounds must be finite, got {[list(b) for b in box]}")
     if any(hi <= lo for lo, hi in box):
@@ -119,16 +132,17 @@ def presentation_from_config(doc: dict) -> tuple[LieAlgebraPresentation, RMatrix
     n = int(doc.get("dim", len(basis)))
     if n != len(basis):
         raise ConfigError(f"dim {n} does not match {len(basis)} basis names")
-    c = np.asarray(_require(doc, "structure_constants", "lie_algebra"), dtype=float)
+    c = _float(_require(doc, "structure_constants", "lie_algebra"),
+               "structure_constants", array=True)
     if c.shape != (n, n, n):
         raise ConfigError(f"structure_constants must have shape ({n},{n},{n})")
-    b = np.asarray(_require(doc, "metric", "lie_algebra"), dtype=float)
+    b = _float(_require(doc, "metric", "lie_algebra"), "metric", array=True)
     if b.shape != (n, n):
         raise ConfigError(f"metric must have shape ({n},{n})")
     pres = LieAlgebraPresentation(n, c, b, basis)
     r = None
     if doc.get("r_matrix") is not None:
-        rm = np.asarray(doc["r_matrix"], dtype=float)
+        rm = _float(doc["r_matrix"], "r_matrix", array=True)
         if rm.shape != (n, n):
             raise ConfigError(f"r_matrix must have shape ({n},{n})")
         try:
@@ -155,11 +169,15 @@ def presentation_to_config(pres: LieAlgebraPresentation,
 def canonical_digest(doc: dict) -> str:
     """sha256 of the canonicalized config (whitespace-insensitive in the
     expressions, independent of the cosmetic name and of key order)."""
-    canon = dict(doc)
-    canon.pop("name", None)
     if doc.get("kind") == "scene":
-        scene = scene_from_config(doc)
-        canon.update(scene_to_config(scene))
-        canon.pop("name", None)
+        doc = {**doc, **scene_to_config(scene_from_config(doc))}
+    return hash_canonical(doc)
+
+
+def hash_canonical(doc: dict) -> str:
+    """:func:`canonical_digest` of a document already in canonical form,
+    as :func:`scene_to_config` and :func:`presentation_to_config` give
+    it, without parsing it again."""
+    canon = {key: value for key, value in doc.items() if key != "name"}
     payload = json.dumps(canon, sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -36,7 +36,6 @@ from functools import cached_property
 import numpy as np
 
 from . import exprlang, geometry, poisson
-from .exprlang import Expr
 from .geometry import Christoffels, PointEvaluation, Scene
 from .poisson import DegeneratePoissonError, OneFormField
 
@@ -489,20 +488,6 @@ def alpha_defect(scene: Scene, alpha: OneFormField, point,
 # -- expression-level perturbation builder -------------------------------------
 
 
-def _expr_is_constant(e: Expr) -> bool:
-    if isinstance(e, (exprlang.Num, exprlang.Param)):
-        return True
-    if isinstance(e, exprlang.Coord):
-        return False
-    if isinstance(e, exprlang.Neg):
-        return _expr_is_constant(e.operand)
-    if isinstance(e, exprlang.BinOp):
-        return _expr_is_constant(e.left) and _expr_is_constant(e.right)
-    if isinstance(e, exprlang.Call):
-        return _expr_is_constant(e.arg)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def lie_perturbation_field(scene: Scene, alpha: OneFormField):
     """The perturbation h^{ij} = D^i a^j + D^j a^i as an expression field.
 
@@ -513,40 +498,18 @@ def lie_perturbation_field(scene: Scene, alpha: OneFormField):
     with :func:`perturbation_from_oneform`.
     """
     n = scene.dimension
-    for row in list(scene.metric) + list(scene.poisson):
-        for e in row:
-            if not _expr_is_constant(e):
-                raise ValueError(
-                    "lie_perturbation_field needs constant metric and "
-                    "poisson coefficients")
+    entries = scene.program("entries")
+    if not all(entries.constant[k] for k in entries.outputs):
+        raise ValueError(
+            "lie_perturbation_field needs constant metric and "
+            "poisson coefficients")
     center = np.array([(lo + hi) / 2.0 for lo, hi in scene.box])
     g = geometry.eval_field(scene, "metric", center).components
     ginv = np.linalg.inv(g)
     pi = geometry.eval_field(scene, "poisson", center).components
-    raised = []
-    for j in range(n):
-        term = exprlang.Num(0.0)
-        for a_idx in range(n):
-            c = ginv[j, a_idx]
-            if c != 0.0:
-                term = exprlang.BinOp(
-                    "+", term,
-                    exprlang.BinOp("*", exprlang.Num(float(c)),
-                                   alpha.components[a_idx]))
-        raised.append(term)
+    raised = [exprlang.linear(ginv[j], alpha.components) for j in range(n)]
     d_raised = [[exprlang.differentiate(raised[j], a_idx) for a_idx in range(n)]
                 for j in range(n)]
-
-    def d_term(i: int, j: int) -> Expr:
-        term = exprlang.Num(0.0)
-        for a_idx in range(n):
-            c = pi[i, a_idx]
-            if c != 0.0:
-                term = exprlang.BinOp(
-                    "+", term,
-                    exprlang.BinOp("*", exprlang.Num(float(c)),
-                                   d_raised[j][a_idx]))
-        return term
-
-    return tuple(tuple(exprlang.BinOp("+", d_term(i, j), d_term(j, i))
-                       for j in range(n)) for i in range(n))
+    d = [[exprlang.linear(pi[i], d_raised[j]) for j in range(n)] for i in range(n)]
+    return tuple(tuple(exprlang.BinOp("+", d[i][j], d[j][i]) for j in range(n))
+                 for i in range(n))

@@ -4,15 +4,18 @@ Metric and Poisson components in config files are written in this
 grammar: real literals, coordinate names, named scalar parameters, unary
 minus, binary ``+ - * / ^`` (``^`` binds tightest and is
 right-associative), parentheses, and the calls ``exp log sin cos sqrt``.
-Implicit multiplication is not supported ("2x" is a syntax error).
+Implicit multiplication is not supported ("2x" is a syntax error), and a
+tree deeper than :data:`MAX_DEPTH` is rejected.
 
-Parsed trees are immutable and evaluate either to plain floats
-(:func:`eval_real`) or to degree-2 jets (:func:`eval_jet`), which carry
-exact gradients and Hessians.  :func:`compile_jets` turns several trees
+Parsed trees are immutable.  :func:`compile_jets` turns several trees
 into one straight-line :class:`JetProgram` that evaluates each shared
-subtree once.  :func:`differentiate` produces the exact
-symbolic partial derivative, which is how differentials of scalar fields
-become component fields with full jet data of their own.
+subtree once, either to degree-2 jets, which carry exact gradients and
+Hessians, or to plain floats; it is the only evaluator, and
+:func:`eval_jet` and :func:`eval_real` run one-tree programs.  A power
+whose exponent reads no coordinate is a real power; any other is
+``exp(e log b)``.  :func:`differentiate` produces the exact symbolic
+partial derivative, which is how differentials of scalar fields become
+component fields with full jet data of their own.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from .jets import Jet2
 __all__ = [
     "Expr", "Num", "Coord", "Param", "Neg", "BinOp", "Call",
     "ExprError", "ExprSyntaxError", "UnknownIdentifier",
-    "parse", "pretty", "eval_jet", "eval_real", "differentiate",
-    "JetProgram", "compile_jets",
+    "parse", "pretty", "eval_jet", "eval_real", "differentiate", "linear",
+    "JetProgram", "compile_jets", "MAX_DEPTH",
 ]
 
 
@@ -93,6 +96,11 @@ _FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 _LEFT_BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40}
 _UNARY_BP = 30
 
+# the deepest tree parse accepts (a leaf has depth 1; nesting that counts
+# parentheses may go twice as deep, as printing may add them): two rounds
+# of differentiate, recursing per level, stay within the recursion limit
+MAX_DEPTH = 150
+
 
 # -- tokenizer ---------------------------------------------------------------
 
@@ -101,6 +109,10 @@ class _Token:
     kind: str   # num | ident | op | lparen | rparen | comma | end
     text: str
     pos: int
+
+
+_PUNCTUATION = {"(": "lparen", ")": "rparen", ",": "comma",
+                **dict.fromkeys("+-*/^", "op")}
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -137,20 +149,8 @@ def _tokenize(text: str) -> list[_Token]:
             out.append(_Token("ident", text[i:j], i))
             i = j
             continue
-        if c in "+-*/^":
-            out.append(_Token("op", c, i))
-            i += 1
-            continue
-        if c == "(":
-            out.append(_Token("lparen", c, i))
-            i += 1
-            continue
-        if c == ")":
-            out.append(_Token("rparen", c, i))
-            i += 1
-            continue
-        if c == ",":
-            out.append(_Token("comma", c, i))
+        if c in _PUNCTUATION:
+            out.append(_Token(_PUNCTUATION[c], c, i))
             i += 1
             continue
         raise ExprSyntaxError(f"unexpected character {c!r}", i)
@@ -181,8 +181,12 @@ class _Parser:
             raise ExprSyntaxError(f"expected {what}", tok.pos)
         return tok
 
-    def parse_expr(self, min_bp: int) -> Expr:
-        left = self.parse_atom()
+    def parse_expr(self, min_bp: int, level: int) -> tuple[Expr, int]:
+        """The expression here binding at least ``min_bp``, and its depth;
+        ``level`` counts the operators and parentheses it is nested in."""
+        if level > 2 * MAX_DEPTH:
+            raise _too_deep(self.peek().pos)
+        left, depth = self.parse_atom(level)
         while True:
             tok = self.peek()
             if tok.kind != "op":
@@ -192,18 +196,21 @@ class _Parser:
                 break
             self.advance()
             # ^ is right-associative, the rest left-associative
-            right = self.parse_expr(bp if tok.text == "^" else bp + 1)
-            left = BinOp(tok.text, left, right)
-        return left
+            right, right_depth = self.parse_expr(
+                bp if tok.text == "^" else bp + 1, level + 1)
+            left, depth = _nest(BinOp(tok.text, left, right),
+                                max(depth, right_depth), tok.pos)
+        return left, depth
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self, level: int) -> tuple[Expr, int]:
         tok = self.advance()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            return Num(float(tok.text)), 1
         if tok.kind == "op" and tok.text == "-":
-            return Neg(self.parse_expr(_UNARY_BP))
+            operand, depth = self.parse_expr(_UNARY_BP, level + 1)
+            return _nest(Neg(operand), depth, tok.pos)
         if tok.kind == "lparen":
-            inner = self.parse_expr(0)
+            inner = self.parse_expr(0, level + 1)
             self.expect("rparen", "')'")
             return inner
         if tok.kind == "ident":
@@ -211,31 +218,43 @@ class _Parser:
                 if tok.text not in _FUNCTIONS:
                     raise ExprSyntaxError(f"unknown function {tok.text!r}", tok.pos)
                 self.advance()
-                arg = self.parse_expr(0)
+                arg, depth = self.parse_expr(0, level + 1)
                 self.expect("rparen", "')'")
-                return Call(tok.text, arg)
+                return _nest(Call(tok.text, arg), depth, tok.pos)
             if tok.text in self.coords:
-                return Coord(tok.text, self.coords[tok.text])
+                return Coord(tok.text, self.coords[tok.text]), 1
             if tok.text in self.params:
-                return Param(tok.text)
+                return Param(tok.text), 1
             raise UnknownIdentifier(tok.text, tok.pos)
         if tok.kind == "end":
             raise ExprSyntaxError("unexpected end of input", tok.pos)
         raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
 
 
+def _too_deep(position: int) -> ExprSyntaxError:
+    return ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels",
+                           position)
+
+
+def _nest(node: Expr, depth: int, position: int) -> tuple[Expr, int]:
+    """``node`` with its depth, one more than its deepest operand's."""
+    if depth >= MAX_DEPTH:
+        raise _too_deep(position)
+    return node, depth + 1
+
+
 def parse(text: str, coords: list[str] | tuple[str, ...],
           params: list[str] | tuple[str, ...] = ()) -> Expr:
     """Parse ``text`` over the given coordinate and parameter names.
 
-    Raises :class:`ExprSyntaxError` with a position on malformed input and
-    :class:`UnknownIdentifier` for names that are neither coordinates nor
-    parameters.
+    Raises :class:`ExprSyntaxError` with a position on malformed input or
+    a tree deeper than :data:`MAX_DEPTH`, and :class:`UnknownIdentifier`
+    for names that are neither coordinates nor parameters.
     """
     if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     p = _Parser(_tokenize(text), list(coords), list(params))
-    tree = p.parse_expr(0)
+    tree, _ = p.parse_expr(0, 0)
     tail = p.peek()
     if tail.kind != "end":
         raise ExprSyntaxError(f"unexpected trailing input {tail.text!r}", tail.pos)
@@ -288,9 +307,12 @@ def pretty(e: Expr) -> str:
 
 _LEAVES = ("num", "coord", "param")
 
+# plain floats: the jets' operators (``operator.add`` ...) and ``math``
+_REAL = {**jets.OPERATIONS, **{fn: getattr(math, fn) for fn in _FUNCTIONS}}
+
 
 class JetProgram:
-    """Several trees compiled into one straight-line jet program.
+    """Several trees compiled into one straight-line program.
 
     ``code`` holds one instruction per slot: a leaf ``("num", value)``,
     ``("coord", index)`` or ``("param", name)``, or an operation of
@@ -302,13 +324,16 @@ class JetProgram:
     ``outputs`` is the slot of each tree; ``free[k]`` lists the slots that
     instruction ``k`` reads for the last time, which are dropped after it,
     so a block holds only the jets still to be read (about 1 MB less peak
-    memory on a 4-D scene of 10-operation entries).
+    memory on a 4-D scene of 10-operation entries).  ``constant[k]`` marks
+    the slots that read no coordinate: a power is real where its exponent
+    slot is constant, ``exp(e log b)`` elsewhere.
     (A plain class: a dataclass would add about 1 ms to every start.)
     """
 
     def __init__(self, code: tuple[tuple, ...], outputs: tuple[int, ...],
-                 free: tuple[tuple[int, ...], ...]):
+                 free: tuple[tuple[int, ...], ...], constant: tuple[bool, ...]):
         self.code, self.outputs, self.free = code, outputs, free
+        self.constant = constant
 
     def run(self, point, params: dict[str, float]) -> list[Jet2]:
         """The jet of each tree at ``point``, of shape ``(..., n)``: its
@@ -318,18 +343,36 @@ class JetProgram:
         dim, lead = point.shape[-1], point.ndim - 1
         slots: list = [None] * len(self.code)
         for k, (op, *args) in enumerate(self.code):
-            if op == "num":
-                slots[k] = jets.constant(args[0], dim, lead)
-            elif op == "coord":
+            if op == "coord":
                 slots[k] = jets.coordinate(np.array(point[..., args[0]]),
                                            args[0], dim)
-            elif op == "param":
-                slots[k] = jets.constant(params[args[0]], dim, lead)
+            elif op in _LEAVES:
+                slots[k] = jets.constant(
+                    params[args[0]] if op == "param" else args[0], dim, lead)
+            elif op == "^" and self.constant[args[1]]:
+                slots[k] = slots[args[0]] ** float(slots[args[1]].value)
             else:
                 slots[k] = jets.OPERATIONS[op](*[slots[a] for a in args])
             for a in self.free[k]:
                 slots[a] = None
         return [slots[k] for k in self.outputs]
+
+    def values(self, point, params: dict[str, float]) -> list[float]:
+        """The plain value of each tree at one point, as a Python float."""
+        v: list = []
+        for ins in self.code:
+            op = ins[0]
+            if op == "num":
+                v.append(ins[1])
+            elif op == "coord":
+                v.append(float(point[ins[1]]))
+            elif op == "param":
+                v.append(float(params[ins[1]]))
+            elif len(ins) == 3:
+                v.append(_REAL[op](v[ins[1]], v[ins[2]]))
+            else:
+                v.append(_REAL[op](v[ins[1]]))
+        return [v[k] for k in self.outputs]
 
 
 def compile_jets(trees) -> JetProgram:
@@ -367,11 +410,16 @@ def compile_jets(trees) -> JetProgram:
     outputs = tuple(go(tree) for tree in trees)
     last_read = {a: k for k, (op, *args) in enumerate(code)
                  if op not in _LEAVES for a in args}
+    constant: list[bool] = []
+    for op, *args in code:
+        constant.append(op != "coord" and (
+            op in _LEAVES or all(constant[a] for a in args)))
     free: list[list[int]] = [[] for _ in code]
     for a, k in last_read.items():
         if a not in outputs:
             free[k].append(a)
-    return JetProgram(tuple(code), outputs, tuple(map(tuple, free)))
+    return JetProgram(tuple(code), outputs, tuple(map(tuple, free)),
+                      tuple(constant))
 
 
 def eval_jet(e: Expr, point, params: dict[str, float] | None = None) -> Jet2:
@@ -388,36 +436,9 @@ def eval_jet(e: Expr, point, params: dict[str, float] | None = None) -> Jet2:
     return compile_jets([e]).run(point, params or {})[0]
 
 
-_REAL_FN = {"exp": math.exp, "log": math.log, "sin": math.sin,
-            "cos": math.cos, "sqrt": math.sqrt}
-
-
 def eval_real(e: Expr, point, params: dict[str, float] | None = None) -> float:
     """Evaluate the value channel only, with plain float arithmetic."""
-    params = params or {}
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Coord):
-        return float(point[e.index])
-    if isinstance(e, Param):
-        return float(params[e.name])
-    if isinstance(e, Neg):
-        return -eval_real(e.operand, point, params)
-    if isinstance(e, BinOp):
-        a = eval_real(e.left, point, params)
-        b = eval_real(e.right, point, params)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            return a / b
-        return a ** b
-    if isinstance(e, Call):
-        return _REAL_FN[e.fn](eval_real(e.arg, point, params))
-    raise TypeError(f"not an expression node: {e!r}")
+    return compile_jets([e]).values(point, params or {})[0]
 
 
 # -- symbolic derivative -----------------------------------------------------
@@ -466,6 +487,15 @@ def _div(a: Expr, b: Expr) -> Expr:
     if _is_one(b):
         return a
     return BinOp("/", a, b)
+
+
+def linear(coeffs, terms) -> Expr:
+    """``0 + c0*t0 + c1*t1 + ...`` over the nonzero coefficients."""
+    out: Expr = _ZERO
+    for c, term in zip(coeffs, terms):
+        if c != 0.0:
+            out = BinOp("+", out, BinOp("*", Num(float(c)), term))
+    return out
 
 
 def differentiate(e: Expr, index: int) -> Expr:

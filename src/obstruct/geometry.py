@@ -98,17 +98,27 @@ class Scene:
         return {}
 
     def program(self, which: str) -> exprlang.JetProgram:
-        """The jet program of the metric's upper triangle (``"metric"``),
-        pi's strict upper triangle (``"poisson"``) or both, metric first
-        (``"fields"``), compiled on first use and kept on the scene."""
+        """The program of the metric's upper triangle (``"metric"``), pi's
+        strict upper triangle (``"poisson"``), both (``"fields"``), every
+        entry of g then of pi (``"entries"``) or ``"exclude"``, compiled
+        on first use and kept on the scene."""
         if which not in self._programs:
             n = self.dimension
             metric = [self.metric[a][b] for a, b in _triangle(n, False)]
             poisson = [self.poisson[a][b] for a, b in _triangle(n, True)]
             trees = {"metric": metric, "poisson": poisson,
-                     "fields": metric + poisson}[which]
+                     "fields": metric + poisson, "exclude": [self.exclude],
+                     "entries": [e for m in (self.metric, self.poisson)
+                                 for row in m for e in row]}[which]
             self._programs[which] = exprlang.compile_jets(trees)
         return self._programs[which]
+
+    def entry_values(self, point) -> tuple[np.ndarray, np.ndarray]:
+        """Every declared entry of g and of pi at one point, as plain values."""
+        n = self.dimension
+        found = self.program("entries").values(point, self.params)
+        return (np.array(found[:n * n]).reshape(n, n),
+                np.array(found[n * n:]).reshape(n, n))
 
     # -- sampling ------------------------------------------------------------
 
@@ -116,8 +126,10 @@ class Scene:
         if self.exclude is None:
             return False
         try:
-            return exprlang.eval_real(self.exclude, point, self.params) > 0.0
-        except (ArithmeticError, ValueError) as err:
+            return self.program("exclude").values(point, self.params)[0] > 0.0
+        except (ArithmeticError, ValueError, TypeError) as err:
+            # TypeError: a complex value (a negative base to a fractional
+            # power) does not compare with 0
             raise SceneValidationError(
                 f"cannot evaluate exclude at {np.asarray(point).tolist()}: "
                 f"{type(err).__name__}: {err}") from err
@@ -179,10 +191,7 @@ class Scene:
             raise SceneValidationError("box must give one (lo, hi) pair per axis")
         for pt in self.grid([samples_per_axis] * n):
             try:
-                g = np.array([[exprlang.eval_real(e, pt, self.params)
-                               for e in row] for row in self.metric])
-                p = np.array([[exprlang.eval_real(e, pt, self.params)
-                               for e in row] for row in self.poisson])
+                g, p = self.entry_values(pt)
             except (ArithmeticError, ValueError) as err:
                 raise SceneValidationError(
                     f"cannot evaluate the fields at {pt.tolist()}: "

@@ -72,10 +72,6 @@ class Jet2:
     def dimension(self) -> int:
         return self.gradient.shape[0]
 
-    @property
-    def is_constant(self) -> bool:
-        return not (self.gradient.any() or self.hessian.any())
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "Jet2":
@@ -117,10 +113,9 @@ class Jet2:
         return _as_jet(other, self) * self._reciprocal()
 
     def __pow__(self, exponent) -> "Jet2":
+        # a number is a real power; a jet is b^e = exp(e * log(b)), which
+        # needs b > 0 even where e happens to be constant
         if isinstance(exponent, Jet2):
-            if exponent.is_constant and np.ndim(exponent.value) == 0:
-                return self._real_power(float(exponent.value))
-            # general exponent: b^e = exp(e * log(b)), needs b > 0
             return exp(exponent * log(self))
         return self._real_power(float(exponent))
 

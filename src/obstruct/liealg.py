@@ -127,20 +127,10 @@ def linear_poisson_scene(pres: LieAlgebraPresentation, box,
     binv = np.linalg.inv(pres.metric)
     c_upup = np.einsum("ia,jb,kc,cab->ijk", binv, binv, pres.metric,
                        pres.structure_constants)
-
-    def linear_expr(coeffs) -> exprlang.Expr:
-        term: exprlang.Expr = exprlang.Num(0.0)
-        for k, coef in enumerate(coeffs):
-            if coef != 0.0:
-                term = exprlang.BinOp(
-                    "+", term,
-                    exprlang.BinOp("*", exprlang.Num(float(coef)),
-                                   exprlang.Coord(coords[k], k)))
-        return term
-
+    xs = [exprlang.Coord(name, k) for k, name in enumerate(coords)]
     metric = tuple(tuple(exprlang.Num(float(pres.metric[i, j]))
                          for j in range(n)) for i in range(n))
-    poisson = tuple(tuple(linear_expr(c_upup[i, j]) for j in range(n))
+    poisson = tuple(tuple(exprlang.linear(c_upup[i, j], xs) for j in range(n))
                     for i in range(n))
     return Scene(coords=coords, params={}, metric=metric, poisson=poisson,
                  box=tuple((float(lo), float(hi)) for lo, hi in box),

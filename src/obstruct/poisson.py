@@ -221,11 +221,7 @@ def _pi_hook_eps(scene: Scene, point) -> np.ndarray:
     """(pi ⌟ eps) at a point by plain evaluation: an (n-2)-form stored as a
     full antisymmetric array."""
     n = scene.dimension
-    params = scene.params
-    g = np.array([[exprlang.eval_real(e, point, params) for e in row]
-                  for row in scene.metric])
-    pi = np.array([[exprlang.eval_real(e, point, params) for e in row]
-                   for row in scene.poisson])
+    g, pi = scene.entry_values(point)
     scale = scene.orientation * np.sqrt(abs(np.linalg.det(g)))
     out = np.zeros((n,) * (n - 2))
     for perm in itertools.permutations(range(n)):
@@ -258,10 +254,7 @@ def divergence_oracle(scene: Scene, point, step: float = 1e-5) -> np.ndarray:
             total += (-1) ** m * partials[(idx[m],) + rest]
         df[idx] = total
     # dF_{i2..in} = V^a eps_{a i2..in}; invert the contraction
-    params = scene.params
-    g = np.array([[exprlang.eval_real(e, point, params) for e in row]
-                  for row in scene.metric])
-    det = np.linalg.det(g)
+    det = np.linalg.det(scene.entry_values(point)[0])
     v = np.zeros(n)
     for perm in itertools.permutations(range(n)):
         v[perm[0]] += _perm_sign(perm) * df[perm[1:]]

@@ -393,7 +393,7 @@ def _run_scene(scene: Scene, cfg: CheckConfig, *, name, digest, started):
     return ObstructionReport(
         name=name or scene.name or "scene",
         kind="scene",
-        digest=digest or config_mod.canonical_digest(doc),
+        digest=digest or config_mod.hash_canonical(doc),
         version=VERSION,
         grid=grid,
         points_evaluated=len(points),
