@@ -38,6 +38,8 @@ def load_config(path) -> dict:
             doc = json.load(handle)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: not valid JSON ({err})") from err
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError(f"{path}: config must be a JSON object with a 'kind'")
     return doc
@@ -62,7 +64,13 @@ def _float(value, field: str, array: bool = False):
 def scene_from_config(doc: dict) -> Scene:
     if doc.get("kind") != "scene":
         raise ConfigError(f"expected kind 'scene', got {doc.get('kind')!r}")
-    coords = tuple(_require(doc, "coordinates", "scene"))
+    coords = _require(doc, "coordinates", "scene")
+    if (not isinstance(coords, (list, tuple)) or not coords
+            or not all(isinstance(c, str) for c in coords)
+            or len(set(coords)) < len(coords)):
+        raise ConfigError(
+            f"coordinates must be one or more distinct names, got {coords!r}")
+    coords = tuple(coords)
     n = int(doc.get("dimension", len(coords)))
     if n != len(coords):
         raise ConfigError(
@@ -70,19 +78,26 @@ def scene_from_config(doc: dict) -> Scene:
     params = {str(k): _float(v, f"param {k!r}")
               for k, v in dict(doc.get("params", {})).items()}
     for key, value in params.items():
+        if key in coords:
+            raise ConfigError(f"param {key!r} has the name of a coordinate")
         if not math.isfinite(value):
             raise ConfigError(f"param {key!r} must be finite, got {value}")
     names = list(params)
 
+    def parse(text, field: str):
+        if not isinstance(text, str):
+            raise ConfigError(f"{field}: expected an expression string, "
+                              f"got {text!r}")
+        try:
+            return exprlang.parse(text, coords, names)
+        except exprlang.ExprError as err:
+            raise ConfigError(f"in {field}: {err}") from err
+
     def parse_matrix(key: str):
         rows = _require(doc, key, "scene")
-        if len(rows) != n or any(len(r) != n for r in rows):
+        if len(rows) != n or any(isinstance(r, str) or len(r) != n for r in rows):
             raise ConfigError(f"{key} must be a {n}x{n} array of expressions")
-        try:
-            return tuple(tuple(exprlang.parse(e, coords, names) for e in row)
-                         for row in rows)
-        except exprlang.ExprError as err:
-            raise ConfigError(f"in {key}: {err}") from err
+        return tuple(tuple(parse(e, key) for e in row) for row in rows)
 
     metric = parse_matrix("metric")
     poisson = parse_matrix("poisson")
@@ -97,10 +112,7 @@ def scene_from_config(doc: dict) -> Scene:
         raise ConfigError("box bounds must satisfy lo < hi")
     exclude = None
     if doc.get("exclude") is not None:
-        try:
-            exclude = exprlang.parse(doc["exclude"], coords, names)
-        except exprlang.ExprError as err:
-            raise ConfigError(f"in exclude: {err}") from err
+        exclude = parse(doc["exclude"], "exclude")
     orientation = int(doc.get("orientation", 1))
     if orientation not in (1, -1):
         raise ConfigError("orientation must be +1 or -1")

@@ -22,7 +22,7 @@ All raising and lowering uses the scene metric; omega is fixed by
 at a block of points, so a batch of checks evaluates each field only once.
 The defect tensors accept a frame of either kind; the oracles, the
 perturbations and :func:`curvature_definitional` take one point.
-A single point's layers and defect tensors are row 0 of the padded block
+A lone point's layers and defect tensors are rows of the padded block
 ``[p, p]``, which einsum rounds like any larger block and unlike a bare
 point (see README, "Determinism and parallelism").
 """
@@ -73,23 +73,26 @@ class CurvatureK:
 _LAYERS = ("metric_eval", "pi_eval", "inverse", "christoffels", "riemann",
            "nabla_pi_eval", "a_eval", "nabla_a")
 
+FLAT_TOL = 1e-6  # the |K| above which linearized_defect warns
 
-def _row0(x):
-    """Row 0 of a block's array, or of each array in a tuple or dataclass."""
+
+def _rows(x, key):
+    """Rows ``key`` of a block's array, or of each in a tuple or dataclass."""
     if x is None or isinstance(x, np.ndarray):
-        return x if x is None else x[0]
+        return x if x is None else x[key]
     if isinstance(x, tuple):
-        return tuple(map(_row0, x))
-    return type(x)(*map(_row0, vars(x).values()))
+        return tuple(_rows(v, key) for v in x)
+    return type(x)(*(_rows(v, key) for v in vars(x).values()))
 
 
 class _layer(cached_property):
-    """A frame layer, computed on first use and kept; a single point's
-    frame keeps row 0 of the same layer of its padded block."""
+    """A frame layer, computed on first use and kept; a lone point's frame
+    keeps its rows of the same layer of its padded block."""
 
     def __get__(self, frame, owner=None):
-        if frame is not None and frame.block is not frame:
-            frame.__dict__[self.attrname] = _row0(getattr(frame.block, self.attrname))
+        if frame is not None and frame._pair is not None:
+            frame.__dict__[self.attrname] = frame.rows(
+                getattr(frame.block, self.attrname))
         return super().__get__(frame, owner)
 
 
@@ -99,28 +102,32 @@ class Frame:
     carries the same leading axes.
 
     Each layer is computed on first use and kept, on :attr:`block`: the
-    frame itself for a block, the padded block ``[p, p]`` for a single
-    point, whose frame keeps row 0.  :meth:`at` builds all layers; the grid
-    sweep constructs a frame directly, so a block builds only the layers
-    its checks need.  The metric layer takes pi from the same run of the
-    scene's compiled program; pi asked for first evaluates pi alone.
+    frame itself for a block, the padded block ``[p, p]`` for a lone point
+    (1-D or a 1-row block), whose frame keeps its rows.  :meth:`at` builds
+    all layers; the grid sweep constructs a frame directly, so a block
+    builds only the layers its checks need.  The metric layer takes pi
+    from the same run of the scene's compiled program; pi asked for first
+    evaluates pi alone.
     """
 
     def __init__(self, scene: Scene, point):
         self.scene = scene
-        self.point = np.asarray(point, dtype=float)
+        self.point = geometry._checked(scene, point)
         self._pair = None
-        if self.point.ndim == 1:
-            if scene.is_excluded(self.point):
-                raise ValueError(
-                    f"point {self.point.tolist()} is excluded from the sample domain")
-            self._pair = Frame(scene, np.stack([self.point, self.point]))
+        if self.point.shape[:-1] in ((), (1,)):
+            self._key = 0 if self.point.ndim == 1 else slice(0, 1)
+            row = self.point.reshape(1, -1)
+            self._pair = Frame(scene, np.concatenate([row, row]))
 
     @property
     def block(self) -> "Frame":
         # a property, not an attribute: a block frame referring to itself
         # would be a reference cycle that only the cyclic GC frees
         return self if self._pair is None else self._pair
+
+    def rows(self, x):
+        """``x``, computed on :attr:`block`, cut to this frame's rows."""
+        return x if self._pair is None else _rows(x, self._key)
 
     @classmethod
     def at(cls, scene: Scene, point) -> "Frame":
@@ -214,9 +221,9 @@ def _frame(scene: Scene, point, frame: Frame | None) -> Frame:
 
 def _block(scene: Scene, point, frame: Frame | None):
     """The block frame a defect tensor is computed on, and how to read the
-    result off it: row 0 when the frame is a single point's."""
+    frame's rows off the result."""
     f = _frame(scene, point, frame)
-    return f.block, (lambda x: x) if f.block is f else _row0
+    return f.block, f.rows
 
 
 # -- connection --------------------------------------------------------------
@@ -353,11 +360,11 @@ def curvature_definitional(scene: Scene, point, frame: Frame | None = None) -> C
 # -- symplectic companion metric ----------------------------------------------
 
 
-def omega_with_partials(f: Frame, tol: float = 1e-9):
+def omega_with_partials(f: Frame):
     """omega = -pi^-1 with first and second partials; raises
     :class:`DegeneratePoissonError` where pi has rank < n (decided by
     :func:`~obstruct.poisson.pi_full_rank`, as the SVD would)."""
-    full, inv = poisson.pi_full_rank(f.pi, tol)
+    full, inv = poisson.pi_full_rank(f.pi)
     if not full.all():
         raise DegeneratePoissonError(
             f"poisson structure degenerate at {f.point[~full][0].tolist()}", full)
@@ -420,19 +427,18 @@ def perturbation_from_oneform(scene: Scene, alpha: OneFormField, point,
     return dv + dv.T
 
 
-def linearized_defect(scene: Scene, h, point, frame: Frame | None = None,
-                      flat_tol: float = 1e-6) -> np.ndarray:
+def linearized_defect(scene: Scene, h, point, frame: Frame | None = None) -> np.ndarray:
     """Residual of the linearized flatness equation
 
         D^j D^l h^{ik} + D^i D^k h^{jl} - D^k D^l h^{ij} - D^i D^j h^{kl}
 
     for a symmetric contravariant 2-tensor field ``h`` of expressions.
     The base connection is assumed flat (D-order then being immaterial);
-    if it is not, a warning is emitted and the residual still computed.
+    if |K| > FLAT_TOL, a warning is emitted and the residual still computed.
     """
     f = _frame(scene, point, frame)
     k_max = float(np.max(np.abs(curvature_explicit(scene, point, frame=f).components)))
-    if k_max > flat_tol:
+    if k_max > FLAT_TOL:
         warnings.warn(
             f"base connection is not flat at {f.point.tolist()} "
             f"(|K| = {k_max:.3g}); linearized defect is heuristic there",

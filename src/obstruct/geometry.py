@@ -46,6 +46,10 @@ class SceneValidationError(ValueError):
     """A scene violates one of its structural invariants."""
 
 
+SYMMETRY_TOL = 1e-12       # Scene.validate: largest |g - g^T|, |pi + pi^T|
+NONDEGENERACY_TOL = 1e-12  # Scene.validate: largest |det g| rejected
+
+
 @dataclass(frozen=True)
 class PointEvaluation:
     """Tensor components at a point with trailing-index partials.
@@ -178,10 +182,10 @@ class Scene:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self, samples_per_axis: int = 4, nondegeneracy_tol: float = 1e-12,
-                 symmetry_tol: float = 1e-12) -> None:
+    def validate(self, samples_per_axis: int = 4) -> None:
         """Check symmetry of g, antisymmetry of pi, and |det g| > tol on a
-        coarse sample of the box.  Raises :class:`SceneValidationError`."""
+        coarse sample of the box, the tolerances being :data:`SYMMETRY_TOL`
+        and :data:`NONDEGENERACY_TOL`.  Raises :class:`SceneValidationError`."""
         n = self.dimension
         if len(self.metric) != n or any(len(r) != n for r in self.metric):
             raise SceneValidationError("metric must be an n-by-n expression array")
@@ -196,13 +200,13 @@ class Scene:
                 raise SceneValidationError(
                     f"cannot evaluate the fields at {pt.tolist()}: "
                     f"{type(err).__name__}: {err}") from err
-            if np.max(np.abs(g - g.T)) > symmetry_tol:
+            if np.max(np.abs(g - g.T)) > SYMMETRY_TOL:
                 raise SceneValidationError(
                     f"metric not symmetric at {pt.tolist()}")
-            if np.max(np.abs(p + p.T)) > symmetry_tol:
+            if np.max(np.abs(p + p.T)) > SYMMETRY_TOL:
                 raise SceneValidationError(
                     f"poisson not antisymmetric at {pt.tolist()}")
-            if abs(np.linalg.det(g)) <= nondegeneracy_tol:
+            if abs(np.linalg.det(g)) <= NONDEGENERACY_TOL:
                 raise SceneValidationError(
                     f"metric degenerate at {pt.tolist()}")
 
@@ -285,7 +289,7 @@ def eval_fields(scene: Scene, point) -> tuple[PointEvaluation, PointEvaluation]:
 def _checked(scene: Scene, point) -> np.ndarray:
     point = np.asarray(point, dtype=float)
     if point.ndim == 1 and scene.is_excluded(point):
-        raise ValueError(f"point {list(point)} is excluded from the sample domain")
+        raise ValueError(f"point {point.tolist()} is excluded from the sample domain")
     return point
 
 

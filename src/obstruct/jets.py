@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Jet2", "JetDomainError", "constant", "coordinate", "lift", "apply",
-           "OPERATIONS"]
+__all__ = ["Jet2", "JetDomainError", "constant", "coordinate", "OPERATIONS"]
 
 
 class JetDomainError(ArithmeticError):
@@ -204,35 +203,8 @@ def sqrt(x: Jet2) -> Jet2:
     return x._compose(r, 0.5 / r, -0.25 / (r * v))
 
 
-FUNCTIONS = {"exp": exp, "log": log, "sin": sin, "cos": cos, "sqrt": sqrt}
-
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv, "^": operator.pow}
-
 # every operation by name, as a compiled expression program applies them
-OPERATIONS = {**_BINARY, "neg": operator.neg, **FUNCTIONS}
+OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "^": operator.pow, "neg": operator.neg,
+              "exp": exp, "log": log, "sin": sin, "cos": cos, "sqrt": sqrt}
 
-
-def lift(value, coord_index: int | None = None, dim: int = 1) -> Jet2:
-    """Lift a real number into a jet: constant if ``coord_index`` is None,
-    otherwise the value of that chart coordinate."""
-    if coord_index is None:
-        return constant(value, dim)
-    return coordinate(value, coord_index, dim)
-
-
-def apply(fn: str, args: list[Jet2]) -> Jet2:
-    """Apply a named elementary function or arithmetic operator to jets.
-
-    ``fn`` is one of ``+ - * / ^ neg exp log sin cos sqrt``; all arguments
-    must share one chart dimension.
-    """
-    if fn not in OPERATIONS:
-        raise ValueError(f"unsupported jet function {fn!r}")
-    if fn in _BINARY:
-        if len(args) != 2:
-            raise ValueError(f"operator {fn!r} takes 2 arguments")
-        _as_jet(args[1], args[0])  # dimension check
-    elif len(args) != 1:
-        raise ValueError(f"{fn!r} takes 1 argument")
-    return OPERATIONS[fn](*args)

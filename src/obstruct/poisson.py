@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 
+RANK_TOL = 1e-9     # pi's rank counts singular values above RANK_TOL * the largest
+ORACLE_STEP = 1e-5  # the central-difference step of divergence_oracle
+
+
 class DegeneratePoissonError(ValueError):
     """The Poisson bivector is not invertible where inversion is required.
     ``full`` marks the matrices of the block that have full rank."""
@@ -114,16 +118,16 @@ def koszul_from(pi: np.ndarray, dpi: np.ndarray,
 # -- per-point operations ------------------------------------------------------
 #
 # The wrappers that need more than pi evaluate on Frame(scene, point).block,
-# the padded block the grid sweep would evaluate the point in, so their
-# numbers are the sweep's; obstruct.contravariant builds on this module, so
-# they import it when called.
+# the block the grid sweep would evaluate the point in, and read the frame's
+# rows off it, so their numbers are the sweep's; obstruct.contravariant
+# builds on this module, so they import it when called.
 
 
 def jacobi_defect(scene: Scene, point) -> np.ndarray:
     """Totally antisymmetric J^{ijk} at a point (zero for a Poisson pi)."""
     from .contravariant import Frame
-    f = Frame(scene, point).block
-    return jacobi_from(f.pi, f.dpi)[0]
+    f = Frame(scene, point)
+    return f.rows(jacobi_from(f.block.pi, f.block.dpi))
 
 
 def sharp(scene: Scene, sigma: OneFormField, point) -> np.ndarray:
@@ -146,24 +150,26 @@ def divergence_defect(scene: Scene, point) -> np.ndarray:
     """nabla_j pi^{ij} with the Levi-Civita connection of the scene metric;
     must vanish for integration to deform into a trace."""
     from .contravariant import Frame
-    return divergence_from(Frame(scene, point).block.nabla_pi)[0]
+    f = Frame(scene, point)
+    return f.rows(divergence_from(f.block.nabla_pi))
 
 
-def symplectic_inverse(scene: Scene, point, tol: float = 1e-9) -> np.ndarray:
+def symplectic_inverse(scene: Scene, point) -> np.ndarray:
     """The 2-form omega with pi^{ai} omega_{aj} = delta^i_j, i.e. the
     matrix inverse of pi up to index placement; antisymmetric.
 
     Raises :class:`DegeneratePoissonError` when pi has rank < n.
     """
     from .contravariant import Frame, omega_with_partials
-    return omega_with_partials(Frame(scene, point).block, tol)[0][0]
+    f = Frame(scene, point)
+    return f.rows(omega_with_partials(f.block)[0])
 
 
-def pi_rank_from(pi: np.ndarray, tol: float = 1e-9):
+def pi_rank_from(pi: np.ndarray):
     """Even rank of pi (or of each matrix in a block): singular values
-    above ``tol`` relative to the largest one."""
+    above :data:`RANK_TOL` relative to the largest one."""
     sv = np.linalg.svd(pi, compute_uv=False)
-    rank = np.count_nonzero(sv > tol * sv[..., :1], axis=-1)
+    rank = np.count_nonzero(sv > RANK_TOL * sv[..., :1], axis=-1)
     # singular values of an antisymmetric matrix pair up
     return rank - rank % 2
 
@@ -171,19 +177,20 @@ def pi_rank_from(pi: np.ndarray, tol: float = 1e-9):
 _CERTIFIED = 0.25  # the certificate's margin, see pi_full_rank
 
 
-def pi_full_rank(pi: np.ndarray, tol: float = 1e-9):
+def pi_full_rank(pi: np.ndarray):
     """``(full, inv)``: where pi has rank n (one bool per matrix of a
     block), exactly as :func:`pi_rank_from` decides it, and pi^-1 (None
     if LAPACK finds a matrix of the block singular).
 
     ``||pi||_F ||pi^-1||_F`` bounds the condition number, so where it is
-    below ``0.25 / tol`` the smallest singular value exceeds ``4 tol``
-    times the largest: full rank for certain, with a margin of 4 that
-    covers the rounding of the inverse and of the SVD.  The certificate
-    thus spares the SVD only where pi is even-dimensional, full-rank and
-    well conditioned.  Only the other matrices run :func:`pi_rank_from`;
-    the whole block does if the inversion raises, and at once if n is
-    odd, since an antisymmetric matrix of odd size is singular.
+    below ``0.25 / RANK_TOL`` the smallest singular value exceeds
+    ``4 RANK_TOL`` times the largest: full rank for certain, with a margin
+    of 4 that covers the rounding of the inverse and of the SVD.  The
+    certificate thus spares the SVD only where pi is even-dimensional,
+    full-rank and well conditioned.  Only the other matrices run
+    :func:`pi_rank_from`; the whole block does if the inversion raises,
+    and at once if n is odd, since an antisymmetric matrix of odd size is
+    singular.
     """
     n = pi.shape[-1]
     try:
@@ -191,22 +198,22 @@ def pi_full_rank(pi: np.ndarray, tol: float = 1e-9):
     except np.linalg.LinAlgError:
         inv = None
     if inv is None:
-        return pi_rank_from(pi, tol) == n, None
+        return pi_rank_from(pi) == n, None
     with np.errstate(over="ignore", invalid="ignore"):
         cond = (np.sqrt(np.einsum("...ij,...ij->...", pi, pi))
                 * np.sqrt(np.einsum("...ij,...ij->...", inv, inv)))
-    full = np.asarray(cond < _CERTIFIED / tol)
+    full = np.asarray(cond < _CERTIFIED / RANK_TOL)
     unsure = ~full
     if unsure.any():
-        full[unsure] = pi_rank_from(pi[unsure], tol) == n
+        full[unsure] = pi_rank_from(pi[unsure]) == n
     return full, inv
 
 
-def pi_rank(scene: Scene, point, tol: float = 1e-9) -> int:
-    """Pointwise (even) rank of pi: singular values above ``tol`` relative
-    to the largest one.  The image of # spans the symplectic foliation."""
+def pi_rank(scene: Scene, point) -> int:
+    """Pointwise (even) rank of pi, as :func:`pi_rank_from` counts it.
+    The image of # spans the symplectic foliation."""
     pi = geometry.eval_field(scene, "poisson", point)
-    return pi_rank_from(pi.components, tol)
+    return pi_rank_from(pi.components)
 
 
 # -- interior-contraction divergence oracle ------------------------------------
@@ -229,21 +236,21 @@ def _pi_hook_eps(scene: Scene, point) -> np.ndarray:
     return out
 
 
-def divergence_oracle(scene: Scene, point, step: float = 1e-5) -> np.ndarray:
-    """Divergence vector extracted from d(pi ⌟ eps) by central differences.
+def divergence_oracle(scene: Scene, point) -> np.ndarray:
+    """Divergence vector extracted from d(pi ⌟ eps) by central differences
+    of step :data:`ORACLE_STEP`.
 
     Independent of the Levi-Civita route: it sees only plain values of pi
-    and the volume density.  Agreement to ~1e-6 is the expected accuracy
-    at the default step.
+    and the volume density.  Agreement to ~1e-6 is the expected accuracy.
     """
     n = scene.dimension
     point = np.asarray(point, dtype=float)
     partials = np.empty((n,) + (n,) * (n - 2))
     for k in range(n):
         shift = np.zeros(n)
-        shift[k] = step
+        shift[k] = ORACLE_STEP
         partials[k] = (_pi_hook_eps(scene, point + shift)
-                       - _pi_hook_eps(scene, point - shift)) / (2.0 * step)
+                       - _pi_hook_eps(scene, point - shift)) / (2.0 * ORACLE_STEP)
     # exterior derivative: (dF)_{a0..ap} = sum_m (-1)^m d_{a_m} F_{a0..âm..ap}
     p = n - 2
     df = np.zeros((n,) * (n - 1))

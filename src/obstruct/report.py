@@ -153,8 +153,8 @@ def _max_abs(val: np.ndarray) -> np.ndarray:
 def _gprime_flat(frame: contravariant.Frame) -> np.ndarray:
     """Per-point max-abs of the Riemann tensor of g', NaN where pi is
     degenerate.  Where pi is degenerate at some points of the block only,
-    g' is evaluated on a fresh frame of the other points (a padded pair
-    for one point), which rounds each of them as the whole block would."""
+    g' is evaluated on a fresh frame of the other points, which rounds
+    each of them as the whole block would."""
     scene, points = frame.scene, frame.point
     try:
         return _max_abs(contravariant.gprime_riemann(scene, points, frame=frame))
@@ -163,71 +163,56 @@ def _gprime_flat(frame: contravariant.Frame) -> np.ndarray:
     out = np.full(len(points), np.nan)
     if keep.any():
         sub = points[keep]
-        sub = np.concatenate([sub, sub]) if len(sub) == 1 else sub
-        found = contravariant.gprime_riemann(
-            scene, sub, frame=contravariant.Frame(scene, sub))
-        out[keep] = _max_abs(found)[:np.count_nonzero(keep)]
+        out[keep] = _max_abs(contravariant.gprime_riemann(
+            scene, sub, frame=contravariant.Frame(scene, sub)))
     return out
 
 
-def _defects(frame: contravariant.Frame, checks: tuple[str, ...]) -> dict:
-    """Per-point defect magnitudes of each check on a block frame; NaN for
-    gprime_flat where pi is degenerate."""
-    scene, points = frame.scene, frame.point
-    out: dict[str, np.ndarray] = {}
-    for check in checks:
-        if check == "jacobi":
-            val = poisson.jacobi_from(frame.pi, frame.dpi)
-        elif check == "divergence":
-            val = poisson.divergence_from(frame.nabla_pi)
-        elif check == "torsion":
-            val = contravariant.torsion_defect(scene, points, frame=frame)
-        elif check == "metric_compat":
-            val = contravariant.metric_compat_defect(scene, points, frame=frame)
-        elif check == "curvature":
-            val = contravariant.curvature_explicit(scene, points,
-                                                   frame=frame).components
-        elif check == "gprime_flat":
-            out[check] = _gprime_flat(frame)
-            continue
-        else:
-            raise ValueError(f"unknown scene check {check!r}")
-        out[check] = _max_abs(val)
-    return out
+# each scene check's per-point defect magnitudes on a block frame; NaN for
+# gprime_flat where pi is degenerate
+_KERNELS = {
+    "jacobi": lambda f: _max_abs(poisson.jacobi_from(f.pi, f.dpi)),
+    "divergence": lambda f: _max_abs(poisson.divergence_from(f.nabla_pi)),
+    "torsion": lambda f: _max_abs(
+        contravariant.torsion_defect(f.scene, f.point, frame=f)),
+    "metric_compat": lambda f: _max_abs(
+        contravariant.metric_compat_defect(f.scene, f.point, frame=f)),
+    "curvature": lambda f: _max_abs(
+        contravariant.curvature_explicit(f.scene, f.point, frame=f).components),
+    "gprime_flat": _gprime_flat,
+}
 
 
 def _block_frame(scene: Scene, points: np.ndarray) -> contravariant.Frame:
-    """A frame of a block with both fields and the metric inverse built,
-    the layers :meth:`Frame.at` can fail in, so that the block fails
-    wherever one of its points fails alone; the other layers are built
-    only if a check needs them."""
+    """A frame of a block whose :attr:`~contravariant.Frame.block` has both
+    fields and the metric inverse built, the layers :meth:`Frame.at` can
+    fail in, so that the block fails wherever one of its points fails
+    alone; the other layers are built only if a check needs them."""
     frame = contravariant.Frame(scene, points)
     for layer in ("metric_eval", "pi_eval", "inverse"):
-        getattr(frame, layer)
+        getattr(frame.block, layer)
     return frame
 
 
 def _block_defects(scene: Scene, checks: tuple[str, ...], points: np.ndarray):
-    """The defects of ``checks`` on a block of points, or the message of
-    its first failure: an evaluation error, then a non-finite field or
-    partial derivative, then a non-finite defect.  A lone point is
-    evaluated as the padded block ``[p, p]`` (a 1-point block would round
-    differently) and keeps row 0."""
-    lone = len(points) == 1
+    """The defects of ``checks`` on a block of points, each computed on the
+    frame's block and cut to the frame's rows, or the message of its first
+    failure: an evaluation error, then a non-finite field or partial
+    derivative, then a non-finite defect."""
     with np.errstate(all="ignore"):
         try:
-            frame = _block_frame(
-                scene, np.concatenate([points, points]) if lone else points)
-            defects = _defects(frame, checks)
+            frame = _block_frame(scene, points)
+            block = frame.block
+            defects = {check: _KERNELS[check](block) for check in checks}
         except (*_EVAL_ERRORS, DegeneratePoissonError) as err:
             return f"{type(err).__name__}: {err}"
-    fields = (frame.g, frame.dg, frame.d2g, frame.pi, frame.dpi, frame.d2pi)
+    fields = (block.g, block.dg, block.d2g, block.pi, block.dpi, block.d2pi)
     if not all(np.isfinite(arr).all() for arr in fields):
         return "non-finite metric or poisson field"
     for check, val in defects.items():
         if np.isinf(val).any():
             return f"non-finite {check} defect"
-    return {check: val[:1] for check, val in defects.items()} if lone else defects
+    return {check: frame.rows(val) for check, val in defects.items()}
 
 
 def _evaluate_point(scene: Scene, checks: tuple[str, ...], point):
@@ -313,7 +298,8 @@ def run_checks(subject, check_config: CheckConfig | None = None, *,
     :class:`LieAlgebraPresentation` and aggregate a report.
 
     Scene subjects are validated first (:class:`SceneValidationError`
-    propagates with the violated invariant).  The report is a pure
+    propagates with the violated invariant, and also where ``exclude``
+    drops every grid point).  The report is a pure
     function of subject and config: point order is the lexicographic grid
     order and worker scheduling cannot change any number in it.
     """
@@ -358,6 +344,9 @@ def _run_scene(scene: Scene, cfg: CheckConfig, *, name, digest, started):
     else:
         points = scene.grid(cfg.grid)
         grid = tuple(cfg.grid) if len(cfg.grid) > 1 else (cfg.grid[0],) * scene.dimension
+        if not len(points):
+            raise SceneValidationError(
+                "no sample points: exclude drops every grid point")
     defects, failure = _map_points(scene, run, points)
 
     results = []
@@ -370,7 +359,7 @@ def _run_scene(scene: Scene, cfg: CheckConfig, *, name, digest, started):
                 reason=f"{msg} at point {points[index].tolist()}"))
             continue
         values = defects[check]
-        if not len(values):
+        if not len(values):  # every explicit point excluded
             results.append(CheckResult(check, "skipped", tol,
                                        reason="no-sample-points"))
             continue

@@ -121,3 +121,31 @@ def test_pi_rank_per_point_and_per_block():
     pis = np.array([np.zeros((2, 2)), [[0.0, 1.0], [-1.0, 0.0]]])
     assert poisson.pi_rank_from(pis).tolist() == [0, 2]
     assert [poisson.pi_rank_from(p) for p in pis] == [0, 2]
+
+
+@pytest.mark.parametrize("name", sorted(SCENES))
+def test_one_row_block_frame_matches_the_point_bitwise(name):
+    scene = SCENES[name]()
+    for point in scene.grid((3,)):
+        row = Frame.at(scene, point[None])
+        alone = Frame.at(scene, point)
+        for layer in LAYERS:
+            found = getattr(row, layer)
+            assert found.shape == (1,) + getattr(alone, layer).shape, layer
+            assert found[0].tobytes() == getattr(alone, layer).tobytes(), layer
+
+
+@pytest.mark.parametrize("name", sorted(SCENES))
+def test_one_row_block_defects_equal_the_point(name):
+    scene = SCENES[name]()
+    points = scene.grid((3,))
+    block, failure = report._evaluate_block(scene, SCENE_CHECKS, points)
+    assert failure is None
+    for i, point in enumerate(points):
+        found = report._block_defects(scene, SCENE_CHECKS, point[None])
+        alone = report._evaluate_point(scene, SCENE_CHECKS, point)
+        assert set(found) == set(alone) == set(SCENE_CHECKS)
+        for check, val in found.items():
+            assert val.shape == (1,), check
+            assert val.tobytes() == np.float64(alone[check]).tobytes(), check
+            assert val.tobytes() == block[check][i:i + 1].tobytes(), check

@@ -85,3 +85,66 @@ def test_json_refuses_nan():
                             max_defect=float("nan"), argmax_point=(0.0,)),))
     with pytest.raises(ValueError):
         report.render_report(rep, "json")
+
+
+def _scene_doc(**fields) -> dict:
+    return {**scene_doc("1"), **fields}
+
+
+# (config document or file text, the error line)
+BAD_INPUTS = {
+    "deep-json": ("[" * 100_000 + "]" * 100_000,
+                  "error: {path}: JSON nested too deeply"),
+    "repeated-coordinate": (
+        _scene_doc(coordinates=["x", "x"]),
+        "error: coordinates must be one or more distinct names, got ['x', 'x']"),
+    "param-shadows-coordinate": (
+        _scene_doc(params={"x": 5}),
+        "error: param 'x' has the name of a coordinate"),
+    "number-in-metric": (
+        _scene_doc(metric=[[1, "0"], ["0", "1"]]),
+        "error: metric: expected an expression string, got 1"),
+    "number-in-poisson": (
+        _scene_doc(poisson=[["0", 1], ["-1", "0"]]),
+        "error: poisson: expected an expression string, got 1"),
+    "string-as-metric-row": (
+        _scene_doc(metric=["x0", "0x"]),
+        "error: metric must be a 2x2 array of expressions"),
+    "number-in-exclude": (
+        _scene_doc(exclude=5),
+        "error: exclude: expected an expression string, got 5"),
+    "zero-dimensional": (
+        _scene_doc(coordinates=[], metric=[], poisson=[], box=[]),
+        "error: coordinates must be one or more distinct names, got []"),
+    "every-grid-point-excluded": (
+        _scene_doc(exclude="1"),
+        "error: no sample points: exclude drops every grid point"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_scene_input_exits_2_with_one_error_line(tmp_path, case):
+    text, expected = BAD_INPUTS[case]
+    path = tmp_path / "scene.json"
+    path.write_text(text if isinstance(text, str) else json.dumps(text))
+    proc = subprocess.run([sys.executable, "-m", "obstruct", "check", str(path)],
+                          capture_output=True, env=dict(os.environ))
+    assert proc.returncode == cli.EXIT_ERROR
+    assert proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.decode().splitlines() == [expected.format(path=path)]
+
+
+def test_explicit_points_all_excluded_are_skipped(tmp_path):
+    # the benchmark's set-up run (bench/run.py) samples su2-dual at its
+    # excluded centre and reads this report
+    path = write_doc(tmp_path, _scene_doc(exclude="x - 0.5"))
+    points = tmp_path / "points.txt"
+    points.write_text("0.9 0.9\n0.7 -0.2\n")
+    out = tmp_path / "report.json"
+    code = cli.main(["check", path, "--points", str(points), "--format",
+                     "json", "--out", str(out)])
+    assert code == cli.EXIT_PASS
+    doc = json.loads(out.read_text())
+    assert doc["points_evaluated"] == 0
+    assert {c["reason"] for c in doc["checks"].values()} == {"no-sample-points"}

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import flat_scene, make_scene, maxabs
 from obstruct import catalog, geometry
+from obstruct.contravariant import Frame
 from obstruct.geometry import (PointEvaluation, SceneValidationError,
                                christoffels, covariant_derivative, eval_field,
                                metric_inverse, riemann, volume_density)
@@ -253,3 +254,14 @@ class TestSceneValidation:
         s = flat_scene(2)
         pts = np.array(s.grid([2, 3]))
         assert pts.tolist() == sorted(pts.tolist())
+
+
+def test_excluded_point_is_worded_as_plain_floats():
+    scene = catalog.load_example("su2-dual").scene()
+    message = "point [0.0, 0.0, 0.0] is excluded from the sample domain"
+    with pytest.raises(ValueError) as found:
+        eval_field(scene, "metric", np.zeros(3))
+    assert str(found.value) == message
+    with pytest.raises(ValueError) as found:
+        Frame.at(scene, np.zeros(3))
+    assert str(found.value) == message
