@@ -19,7 +19,6 @@ import argparse
 import sys
 
 from . import catalog, config as config_mod, report
-from .geometry import SceneValidationError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -94,16 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_config_from_args(args) -> report.CheckConfig:
-    points = _read_points(args.points) if args.points else None
-    return report.CheckConfig(
-        checks=tuple(args.check) if args.check else None,
-        grid=args.grid,
-        tolerances=dict(args.tol),
-        points=points,
-    )
-
-
 def _emit(data: bytes, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "wb") as handle:
@@ -114,14 +103,16 @@ def _emit(data: bytes, out_path: str | None) -> None:
 
 
 def _run_subject(doc: dict, args) -> int:
-    cfg = _check_config_from_args(args)
+    cfg = report.CheckConfig(
+        checks=args.check, grid=args.grid, tolerances=dict(args.tol),
+        points=_read_points(args.points) if args.points else None)
     kind = doc.get("kind")
     if kind == "scene":
         subject = config_mod.scene_from_config(doc)
         rep = report.run_checks(subject, cfg)
     elif kind == "lie_algebra":
         pres, r = config_mod.presentation_from_config(doc)
-        rep = report.run_checks(pres, cfg, r=r, name=doc.get("name") or None)
+        rep = report.run_checks(pres, cfg, r=r, name=doc.get("name"))
     else:
         raise config_mod.ConfigError(f"unknown config kind {kind!r}")
     _emit(report.render_report(rep, args.format), args.out)
@@ -142,8 +133,7 @@ def main(argv=None) -> int:
             return _run_subject(entry.config, args)
         doc = config_mod.load_config(args.config)
         return _run_subject(doc, args)
-    except (config_mod.ConfigError, SceneValidationError, KeyError,
-            OSError, ValueError) as err:
+    except (KeyError, OSError, ValueError) as err:
         message = err.args[0] if isinstance(err, KeyError) and err.args else err
         print(f"error: {message}", file=sys.stderr)
         return EXIT_ERROR

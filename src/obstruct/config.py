@@ -45,80 +45,110 @@ def load_config(path) -> dict:
     return doc
 
 
-def _require(doc: dict, key: str, kind: str):
-    if key not in doc:
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _field(doc: dict, key: str, kind: str, default=..., of: type = object):
+    """``doc[key]``, of JSON type ``of``; an absent key gives ``default``,
+    or a :class:`ConfigError` where there is none."""
+    if key not in doc and default is ...:
         raise ConfigError(f"{kind} config is missing field {key!r}")
-    return doc[key]
+    value = doc.get(key, default)
+    if not isinstance(value, of):
+        raise ConfigError(f"{key} must be {_JSON_TYPES[of]}, got {value!r}")
+    return value
 
 
-def _float(value, field: str, array: bool = False):
-    """``value`` as a float, or as a float array; a value that is not a
-    number, or is too large for a float (a JSON integer such as
-    ``10**400``), is a :class:`ConfigError` naming ``field``."""
-    try:
-        return np.asarray(value, dtype=float) if array else float(value)
-    except (OverflowError, TypeError, ValueError) as err:
-        raise ConfigError(f"{field}: {err}") from None
+def _names(doc: dict, key: str, size: str, kind: str) -> tuple[str, ...]:
+    """The non-empty list of distinct names at ``key``; the optional count
+    at ``size`` must be the JSON integer that is its length."""
+    names = _field(doc, key, kind, of=list)
+    if (not names or not all(isinstance(name, str) for name in names)
+            or len(set(names)) < len(names)):
+        raise ConfigError(
+            f"{key} must be one or more distinct names, got {names!r}")
+    count = doc.get(size, len(names))
+    if type(count) is not int or count != len(names):
+        raise ConfigError(f"{size} must be the integer {len(names)}, the "
+                          f"length of {key}, got {count!r}")
+    return tuple(names)
+
+
+def _array(value, shape: tuple[int, ...], leaf, error: str):
+    """``value``, nested JSON lists of exactly ``shape``, as nested tuples of
+    ``leaf`` of each element; any other shape is ``ConfigError(error)``."""
+    if not shape:
+        return leaf(value)
+    if not isinstance(value, list) or len(value) != shape[0]:
+        raise ConfigError(error)
+    return tuple(_array(part, shape[1:], leaf, error) for part in value)
+
+
+def _numbers(value, field: str, shape: tuple[int, ...] = (), item: str = ""):
+    """``value`` as a finite float, or as nested tuples of them of exactly
+    ``shape``.  A string, bool, null, ragged array, ``10**400``, ``NaN`` or
+    ``Infinity`` is a :class:`ConfigError`, which names ``item`` (default
+    ``field``) where one number is not a float."""
+    item = item or field
+
+    def number(part) -> float:
+        if isinstance(part, bool) or not isinstance(part, (int, float)):
+            raise ConfigError(f"{item}: expected a number, got {part!r}")
+        try:
+            part = float(part)
+        except OverflowError as err:
+            raise ConfigError(f"{item}: {err}") from None
+        if not math.isfinite(part):
+            raise ConfigError(f"{field} must be finite, got {part}")
+        return part
+
+    dims = "x".join(map(str, shape))
+    return _array(value, shape, number,
+                  f"{field}: expected a {dims} array of numbers")
 
 
 def scene_from_config(doc: dict) -> Scene:
     if doc.get("kind") != "scene":
         raise ConfigError(f"expected kind 'scene', got {doc.get('kind')!r}")
-    coords = _require(doc, "coordinates", "scene")
-    if (not isinstance(coords, (list, tuple)) or not coords
-            or not all(isinstance(c, str) for c in coords)
-            or len(set(coords)) < len(coords)):
-        raise ConfigError(
-            f"coordinates must be one or more distinct names, got {coords!r}")
-    coords = tuple(coords)
-    n = int(doc.get("dimension", len(coords)))
-    if n != len(coords):
-        raise ConfigError(
-            f"dimension {n} does not match {len(coords)} coordinate names")
-    params = {str(k): _float(v, f"param {k!r}")
-              for k, v in dict(doc.get("params", {})).items()}
-    for key, value in params.items():
+    coords = _names(doc, "coordinates", "dimension", "scene")
+    n = len(coords)
+    params = _field(doc, "params", "scene", {}, dict)
+    params = {key: _numbers(value, f"param {key!r}")
+              for key, value in params.items()}
+    for key in params:
         if key in coords:
             raise ConfigError(f"param {key!r} has the name of a coordinate")
-        if not math.isfinite(value):
-            raise ConfigError(f"param {key!r} must be finite, got {value}")
-    names = list(params)
 
     def parse(text, field: str):
         if not isinstance(text, str):
             raise ConfigError(f"{field}: expected an expression string, "
                               f"got {text!r}")
         try:
-            return exprlang.parse(text, coords, names)
+            return exprlang.parse(text, coords, list(params))
         except exprlang.ExprError as err:
             raise ConfigError(f"in {field}: {err}") from err
 
     def parse_matrix(key: str):
-        rows = _require(doc, key, "scene")
-        if len(rows) != n or any(isinstance(r, str) or len(r) != n for r in rows):
-            raise ConfigError(f"{key} must be a {n}x{n} array of expressions")
-        return tuple(tuple(parse(e, key) for e in row) for row in rows)
+        return _array(_field(doc, key, "scene"), (n, n),
+                      lambda text: parse(text, key),
+                      f"{key} must be a {n}x{n} array of expressions")
 
     metric = parse_matrix("metric")
     poisson = parse_matrix("poisson")
-    box_doc = _require(doc, "box", "scene")
-    if len(box_doc) != n or any(len(b) != 2 for b in box_doc):
-        raise ConfigError("box must give one [lo, hi] pair per axis")
-    box = tuple((_float(lo, "box bound"), _float(hi, "box bound"))
-                for lo, hi in box_doc)
-    if not all(map(math.isfinite, sum(box, ()))):
-        raise ConfigError(f"box bounds must be finite, got {[list(b) for b in box]}")
+    box = _numbers(_field(doc, "box", "scene"), "box bounds", (n, 2),
+                   item="box bound")
     if any(hi <= lo for lo, hi in box):
         raise ConfigError("box bounds must satisfy lo < hi")
     exclude = None
     if doc.get("exclude") is not None:
         exclude = parse(doc["exclude"], "exclude")
-    orientation = int(doc.get("orientation", 1))
-    if orientation not in (1, -1):
-        raise ConfigError("orientation must be +1 or -1")
+    orientation = doc.get("orientation", 1)
+    if type(orientation) is not int or orientation not in (1, -1):
+        raise ConfigError(f"orientation must be +1 or -1, got {orientation!r}")
     return Scene(coords=coords, params=params, metric=metric, poisson=poisson,
-                 box=box, exclude=exclude, orientation=orientation,
-                 name=str(doc.get("name", "")))
+                 box=box, exclude=exclude,
+                 orientation=orientation,
+                 name=_field(doc, "name", "scene", "", str))
 
 
 def scene_to_config(scene: Scene) -> dict:
@@ -138,29 +168,19 @@ def scene_to_config(scene: Scene) -> dict:
 
 
 def presentation_from_config(doc: dict) -> tuple[LieAlgebraPresentation, RMatrix | None]:
-    if doc.get("kind") != "lie_algebra":
+    kind = "lie_algebra"
+    if doc.get("kind") != kind:
         raise ConfigError(f"expected kind 'lie_algebra', got {doc.get('kind')!r}")
-    basis = tuple(_require(doc, "basis", "lie_algebra"))
-    n = int(doc.get("dim", len(basis)))
-    if n != len(basis):
-        raise ConfigError(f"dim {n} does not match {len(basis)} basis names")
-    c = _float(_require(doc, "structure_constants", "lie_algebra"),
-               "structure_constants", array=True)
-    if c.shape != (n, n, n):
-        raise ConfigError(f"structure_constants must have shape ({n},{n},{n})")
-    b = _float(_require(doc, "metric", "lie_algebra"), "metric", array=True)
-    if b.shape != (n, n):
-        raise ConfigError(f"metric must have shape ({n},{n})")
+    _field(doc, "name", kind, "", str)  # cosmetic; the caller reads it
+    basis = _names(doc, "basis", "dim", kind)
+    n = len(basis)
+    c = np.array(_numbers(_field(doc, "structure_constants", kind),
+                          "structure_constants", (n, n, n)))
+    b = np.array(_numbers(_field(doc, "metric", kind), "metric", (n, n)))
     pres = LieAlgebraPresentation(n, c, b, basis)
     r = None
-    if doc.get("r_matrix") is not None:
-        rm = _float(doc["r_matrix"], "r_matrix", array=True)
-        if rm.shape != (n, n):
-            raise ConfigError(f"r_matrix must have shape ({n},{n})")
-        try:
-            r = RMatrix(rm)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+    if doc.get("r_matrix") is not None:  # RMatrix checks antisymmetry
+        r = RMatrix(_numbers(doc["r_matrix"], "r_matrix", (n, n)))
     return pres, r
 
 

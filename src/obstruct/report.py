@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -61,16 +62,14 @@ SELF_TEST_TOL = 1e-8
 OBSTRUCTION_TOL = 1e-6
 
 
-def default_tolerance(check: str) -> float:
-    return SELF_TEST_TOL if check in SELF_TEST_CHECKS else OBSTRUCTION_TOL
-
-
 @dataclass(frozen=True)
 class CheckConfig:
     """Which checks to run, on what grid, against what thresholds.
 
-    ``checks=None`` means every check applicable to the subject kind.
-    ``points`` (explicit sample points) overrides the grid.
+    ``checks=None`` means every check applicable to the subject kind, and
+    a repeated check counts once.  ``points`` (explicit sample points)
+    overrides the grid.  A check name that is not known, or a tolerance
+    that is not finite and positive, is a :class:`ValueError` here.
     """
 
     checks: tuple[str, ...] | None = None
@@ -78,11 +77,22 @@ class CheckConfig:
     tolerances: dict[str, float] = field(default_factory=dict)
     points: tuple[tuple[float, ...], ...] | None = None
 
+    def __post_init__(self):
+        if self.checks is not None:  # the first of each name, in order
+            object.__setattr__(self, "checks", tuple(dict.fromkeys(self.checks)))
+        known = SCENE_CHECKS + ALGEBRA_CHECKS
+        for check in (*(self.checks or ()), *self.tolerances):
+            if check not in known:
+                raise ValueError(
+                    f"unknown check {check!r}; known: {', '.join(known)}")
+        for check, tol in self.tolerances.items():
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError(f"tolerance for {check} must be finite "
+                                 f"and positive, got {tol}")
+
     def tolerance(self, check: str) -> float:
-        tol = self.tolerances.get(check, default_tolerance(check))
-        if tol <= 0:
-            raise ValueError(f"tolerance for {check} must be positive")
-        return tol
+        default = SELF_TEST_TOL if check in SELF_TEST_CHECKS else OBSTRUCTION_TOL
+        return self.tolerances.get(check, default)
 
 
 @dataclass(frozen=True)
@@ -292,8 +302,8 @@ def _map_points(scene: Scene, checks: tuple[str, ...], points: np.ndarray):
 
 
 def run_checks(subject, check_config: CheckConfig | None = None, *,
-               r: RMatrix | None = None, name: str | None = None,
-               digest: str | None = None) -> ObstructionReport:
+               r: RMatrix | None = None,
+               name: str | None = None) -> ObstructionReport:
     """Run the configured checks on a :class:`Scene` or a
     :class:`LieAlgebraPresentation` and aggregate a report.
 
@@ -306,29 +316,42 @@ def run_checks(subject, check_config: CheckConfig | None = None, *,
     cfg = check_config or CheckConfig()
     started = time.perf_counter()
     if isinstance(subject, Scene):
-        return _run_scene(subject, cfg, name=name, digest=digest,
-                          started=started)
-    if isinstance(subject, LieAlgebraPresentation):
-        return _run_algebra(subject, cfg, r=r, name=name, digest=digest,
-                            started=started)
-    raise TypeError(f"cannot run checks on {type(subject).__name__}")
+        kind, applicable = "scene", SCENE_CHECKS
+        results = partial(_scene_results, subject, cfg)
+    elif isinstance(subject, LieAlgebraPresentation):
+        kind, applicable = "lie_algebra", ALGEBRA_CHECKS
+        results = partial(_algebra_results, subject, r)
+    else:
+        raise TypeError(f"cannot run checks on {type(subject).__name__}")
+    asked = applicable if cfg.checks is None else cfg.checks
+    run = tuple(c for c in asked if c in applicable)
+    outcomes, grid, points_evaluated, doc = results(run)
+    label = kind.replace("_", "-")
+    rows = []
+    for check in (*run, *(c for c in asked if c not in applicable)):
+        row = outcomes.get(check, {"status": "skipped",
+                                   "reason": f"not-applicable-to-{label}"})
+        tol = cfg.tolerance(check)
+        if "status" not in row:
+            row = {**row, "status": "pass" if row["max_defect"] <= tol else "fail"}
+        rows.append(CheckResult(check, tolerance=tol, **row))
+    return ObstructionReport(
+        name=name or doc["name"] or label,
+        kind=kind,
+        digest=config_mod.hash_canonical(doc),
+        version=VERSION,
+        grid=grid,
+        points_evaluated=points_evaluated,
+        checks=tuple(rows),
+        wall_time=time.perf_counter() - started,
+    )
 
 
-def _resolve_checks(cfg: CheckConfig, applicable: tuple[str, ...]):
-    if cfg.checks is None:
-        return applicable, ()
-    known = SCENE_CHECKS + ALGEBRA_CHECKS
-    for c in cfg.checks:
-        if c not in known:
-            raise ValueError(f"unknown check {c!r}; known: {', '.join(known)}")
-    run = tuple(c for c in cfg.checks if c in applicable)
-    off = tuple(c for c in cfg.checks if c not in applicable)
-    return run, off
-
-
-def _run_scene(scene: Scene, cfg: CheckConfig, *, name, digest, started):
+def _scene_results(scene: Scene, cfg: CheckConfig, run: tuple[str, ...]):
+    """Each ``run`` check's :class:`CheckResult` fields on ``scene`` but its
+    name, tolerance and (if measured) status; the grid; the number of
+    points evaluated; and the scene's canonical document."""
     scene.validate()
-    run, not_applicable = _resolve_checks(cfg, SCENE_CHECKS)
     if cfg.points is not None:
         points = [np.asarray(p, dtype=float) for p in cfg.points]
         for p in points:
@@ -347,78 +370,41 @@ def _run_scene(scene: Scene, cfg: CheckConfig, *, name, digest, started):
         if not len(points):
             raise SceneValidationError(
                 "no sample points: exclude drops every grid point")
-    defects, failure = _map_points(scene, run, points)
-
-    results = []
-    for check in run:
-        tol = cfg.tolerance(check)
-        if failure is not None:
-            index, msg = failure
-            results.append(CheckResult(
-                check, "failed-to-evaluate", tol,
-                reason=f"{msg} at point {points[index].tolist()}"))
-            continue
-        values = defects[check]
-        if not len(values):  # every explicit point excluded
-            results.append(CheckResult(check, "skipped", tol,
-                                       reason="no-sample-points"))
-            continue
-        missing = np.isnan(values)
-        if missing.any():  # gprime_flat where pi is degenerate
-            reason = ("pi-degenerate-everywhere" if missing.all()
-                      else f"pi-degenerate-at {points[np.argmax(missing)].tolist()}")
-            results.append(CheckResult(check, "skipped", tol, reason=reason))
-            continue
-        top = int(np.argmax(values))  # the first maximum
-        best = float(values[top])
-        status = "pass" if best <= tol else "fail"
-        results.append(CheckResult(check, status, tol, max_defect=best,
-                                   argmax_point=tuple(points[top].tolist()),
-                                   table=(points, values)))
-    for check in not_applicable:
-        results.append(CheckResult(check, "skipped", cfg.tolerance(check),
-                                   reason="not-applicable-to-scene"))
     doc = config_mod.scene_to_config(scene)
-    return ObstructionReport(
-        name=name or scene.name or "scene",
-        kind="scene",
-        digest=digest or config_mod.hash_canonical(doc),
-        version=VERSION,
-        grid=grid,
-        points_evaluated=len(points),
-        checks=tuple(results),
-        wall_time=time.perf_counter() - started,
-    )
+    defects, failure = _map_points(scene, run, points)
+    if failure is not None:
+        index, msg = failure
+        failed = {"status": "failed-to-evaluate",
+                  "reason": f"{msg} at point {points[index].tolist()}"}
+        return dict.fromkeys(run, failed), grid, len(points), doc
+    outcomes = {}
+    for check, values in defects.items():
+        missing = np.isnan(values)
+        if not len(values):  # every explicit point excluded
+            outcomes[check] = {"status": "skipped", "reason": "no-sample-points"}
+        elif missing.any():  # gprime_flat where pi is degenerate
+            outcomes[check] = {"status": "skipped", "reason": (
+                "pi-degenerate-everywhere" if missing.all()
+                else f"pi-degenerate-at {points[np.argmax(missing)].tolist()}")}
+        else:
+            top = int(np.argmax(values))  # the first maximum
+            outcomes[check] = {"max_defect": float(values[top]),
+                               "argmax_point": tuple(points[top].tolist()),
+                               "table": (points, values)}
+    return outcomes, grid, len(points), doc
 
 
-def _run_algebra(pres: LieAlgebraPresentation, cfg: CheckConfig, *,
-                 r: RMatrix | None, name, digest, started):
-    run, not_applicable = _resolve_checks(cfg, ALGEBRA_CHECKS)
-    results = []
+def _algebra_results(pres: LieAlgebraPresentation, r: RMatrix | None,
+                     run: tuple[str, ...]):
+    """:func:`_scene_results` for a presentation and its r-matrix."""
+    outcomes = {}
     for check in run:
-        tol = cfg.tolerance(check)
         if r is None:
-            results.append(CheckResult(check, "skipped", tol,
-                                       reason="no-r-matrix"))
-            continue
-        val = cybe_defect(pres, r) if check == "cybe" else qg_divergence(pres, r)
-        mx = float(np.max(np.abs(val)))
-        results.append(CheckResult(check, "pass" if mx <= tol else "fail",
-                                   tol, max_defect=mx))
-    for check in not_applicable:
-        results.append(CheckResult(check, "skipped", cfg.tolerance(check),
-                                   reason="not-applicable-to-lie-algebra"))
-    doc = config_mod.presentation_to_config(pres, r)
-    return ObstructionReport(
-        name=name or "lie-algebra",
-        kind="lie_algebra",
-        digest=digest or config_mod.canonical_digest(doc),
-        version=VERSION,
-        grid=None,
-        points_evaluated=0,
-        checks=tuple(results),
-        wall_time=time.perf_counter() - started,
-    )
+            outcomes[check] = {"status": "skipped", "reason": "no-r-matrix"}
+        else:
+            val = cybe_defect(pres, r) if check == "cybe" else qg_divergence(pres, r)
+            outcomes[check] = {"max_defect": float(np.max(np.abs(val)))}
+    return outcomes, None, 0, config_mod.presentation_to_config(pres, r)
 
 
 # -- rendering -------------------------------------------------------------------

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from conftest import make_scene
-from obstruct import cli, report
+from obstruct import catalog, cli, report
 from obstruct.geometry import SceneValidationError
 from obstruct.report import CheckConfig, CheckResult, ObstructionReport, run_checks
 
@@ -91,6 +91,11 @@ def _scene_doc(**fields) -> dict:
     return {**scene_doc("1"), **fields}
 
 
+def _algebra_doc(**fields) -> dict:
+    doc = json.loads(json.dumps(catalog.load_example("sl2-triangular").config))
+    return {**doc, **fields}
+
+
 # (config document or file text, the error line)
 BAD_INPUTS = {
     "deep-json": ("[" * 100_000 + "]" * 100_000,
@@ -119,6 +124,55 @@ BAD_INPUTS = {
     "every-grid-point-excluded": (
         _scene_doc(exclude="1"),
         "error: no sample points: exclude drops every grid point"),
+    "number-as-params": (
+        _scene_doc(params=5), "error: params must be an object, got 5"),
+    "pairs-as-params": (
+        _scene_doc(params=[["a", 1]]),
+        "error: params must be an object, got [['a', 1]]"),
+    "number-as-box": (
+        _scene_doc(box=5), "error: box bounds: expected a 2x2 array of numbers"),
+    "number-as-box-row": (
+        _scene_doc(box=[5, [0, 1]]),
+        "error: box bounds: expected a 2x2 array of numbers"),
+    "number-as-metric": (
+        _scene_doc(metric=5), "error: metric must be a 2x2 array of expressions"),
+    "number-as-metric-row": (
+        _scene_doc(metric=[5, ["0", "1"]]),
+        "error: metric must be a 2x2 array of expressions"),
+    "fractional-dimension": (
+        _scene_doc(dimension=2.7),
+        "error: dimension must be the integer 2, the length of coordinates, "
+        "got 2.7"),
+    "string-dimension": (
+        _scene_doc(dimension="2"),
+        "error: dimension must be the integer 2, the length of coordinates, "
+        "got '2'"),
+    "bool-dimension": (
+        _scene_doc(dimension=True),
+        "error: dimension must be the integer 2, the length of coordinates, "
+        "got True"),
+    "infinite-dimension": (
+        _scene_doc(dimension=float("inf")),
+        "error: dimension must be the integer 2, the length of coordinates, "
+        "got inf"),
+    "fractional-orientation": (
+        _scene_doc(orientation=1.5),
+        "error: orientation must be +1 or -1, got 1.5"),
+    "bool-orientation": (
+        _scene_doc(orientation=True),
+        "error: orientation must be +1 or -1, got True"),
+    "object-as-name": (
+        _scene_doc(name={}), "error: name must be a string, got {{}}"),
+    "number-as-basis": (
+        _algebra_doc(basis=5),
+        "error: basis must be a list, got 5"),
+    "fractional-dim": (
+        _algebra_doc(dim=3.5),
+        "error: dim must be the integer 3, the length of basis, got 3.5"),
+    "infinite-structure-constant": (
+        _algebra_doc(structure_constants=[[[0, 0, 0], [0, 0, float("inf")],
+                                           [0, -1, 0]]] + [[[0] * 3] * 3] * 2),
+        "error: structure_constants must be finite, got inf"),
 }
 
 
@@ -133,6 +187,33 @@ def test_bad_scene_input_exits_2_with_one_error_line(tmp_path, case):
     assert proc.stdout == b""
     assert b"Traceback" not in proc.stderr
     assert proc.stderr.decode().splitlines() == [expected.format(path=path)]
+
+
+# (flags, the error line)
+BAD_FLAGS = {
+    "nan-tolerance": (["--tol", "curvature=nan"],
+                      "error: tolerance for curvature must be finite and "
+                      "positive, got nan"),
+    "infinite-tolerance": (["--tol", "curvature=inf"],
+                           "error: tolerance for curvature must be finite and "
+                           "positive, got inf"),
+    "tolerance-of-unknown-check": (
+        ["--tol", "bogus=1"],
+        "error: unknown check 'bogus'; known: jacobi, divergence, torsion, "
+        "metric_compat, curvature, gprime_flat, cybe, qg_divergence"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FLAGS))
+def test_bad_flag_exits_2_with_one_error_line(case):
+    flags, expected = BAD_FLAGS[case]
+    proc = subprocess.run([sys.executable, "-m", "obstruct", "example",
+                           "podles-sphere", *flags],
+                          capture_output=True, env=dict(os.environ))
+    assert proc.returncode == cli.EXIT_ERROR
+    assert proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.decode().splitlines() == [expected]
 
 
 def test_explicit_points_all_excluded_are_skipped(tmp_path):

@@ -300,3 +300,20 @@ class TestEndToEndDeterminism:
             runs[workers] = proc.stdout
         assert runs["1"] == runs["8"]
         assert json.loads(runs["1"])["checks"]["divergence"]["status"] == "fail"
+
+
+def test_a_repeated_check_is_reported_once(tmp_path):
+    assert CheckConfig(checks=("jacobi", "divergence", "jacobi")).checks == (
+        "jacobi", "divergence")
+    outputs = {}
+    for fmt in ("text", "csv-points"):
+        out = tmp_path / f"report.{fmt}"
+        code = cli.main(["example", "su2-dual", "--grid", "3", "--check",
+                         "jacobi", "--check", "divergence", "--check", "jacobi",
+                         "--format", fmt, "--out", str(out)])
+        assert code == cli.EXIT_PASS
+        outputs[fmt] = out.read_text()
+    assert sum(line.startswith("jacobi ")
+               for line in outputs["text"].splitlines()) == 1
+    assert outputs["csv-points"].count("# check: jacobi\n") == 1
+    assert outputs["csv-points"].count("# check: divergence\n") == 1

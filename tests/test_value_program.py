@@ -309,6 +309,23 @@ CLI_INPUTS = {
         structure_constants=[[[0.0]], [0.0, 1.0]])), "structure_constants: "),
     "complex exclude": (json.dumps(_scene_doc(exclude="(x - 2)^0.5")),
                         "cannot evaluate exclude at [-1.0, -1.0]: TypeError"),
+    "string param": (json.dumps(_scene_doc(params={"c": "2"})),
+                     "param 'c': expected a number, got '2'"),
+    "bool box bound": (json.dumps(_scene_doc(box=[[-1.0, True], [-1.0, 1.0]])),
+                       "box bound: expected a number, got True"),
+    "string structure constant": (json.dumps(_algebra_doc(
+        structure_constants=[[["0"] * 3] * 3] * 3)),
+        "structure_constants: expected a number, got '0'"),
+    "infinite algebra metric": (json.dumps(_algebra_doc(
+        metric=[[float("-inf"), 0, 0], [0, 0, 1], [0, 1, 0]])),
+        "metric must be finite, got -inf"),
+    "NaN r-matrix": (json.dumps(_algebra_doc(
+        r_matrix=[[float("nan"), 0, 0], [0, 0, 1], [0, -1, 0]])),
+        "r_matrix must be finite, got nan"),
+    "ragged algebra metric": (json.dumps(_algebra_doc(metric=[[2, 0, 0], [0, 1]])),
+                              "metric: expected a 3x3 array of numbers"),
+    "repeated basis name": (json.dumps(_algebra_doc(basis=["H", "E", "E"])),
+                            "basis must be one or more distinct names"),
 }
 
 
