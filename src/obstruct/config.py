@@ -2,9 +2,10 @@
 
 A config is a single JSON object with top-level ``"kind"`` of ``"scene"``
 or ``"lie_algebra"``; the remaining fields mirror the corresponding domain
-type, with all component functions written as expression strings.  The
-scene digest hashes a canonicalized form of the document (expressions
-re-rendered from their parse trees, keys sorted, the cosmetic ``name``
+type, with all component functions written as expression strings; a
+field the type does not have is an error.  The digest hashes the document
+read and written again in canonical form (expressions re-rendered from
+their parse trees, numbers as floats, keys sorted, the cosmetic ``name``
 dropped), so it is insensitive to whitespace but changes with any
 semantically meaningful field.
 """
@@ -46,6 +47,24 @@ def load_config(path) -> dict:
 
 
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
+# each kind's top-level fields, as its canonical writer emits them
+_FIELDS = {
+    "scene": ("kind", "name", "dimension", "coordinates", "params", "metric",
+              "poisson", "box", "exclude", "orientation"),
+    "lie_algebra": ("kind", "name", "dim", "basis", "structure_constants",
+                    "metric", "r_matrix"),
+}
+
+
+def _check_fields(doc: dict, kind: str) -> None:
+    """``doc`` is of ``kind`` and has no field that its writer does not
+    emit: a misspelt field is an error, not an absent one."""
+    if doc.get("kind") != kind:
+        raise ConfigError(f"expected kind {kind!r}, got {doc.get('kind')!r}")
+    for key in doc:
+        if key not in _FIELDS[kind]:
+            raise ConfigError(f"{kind} config has unknown field {key!r}")
 
 
 def _field(doc: dict, key: str, kind: str, default=..., of: type = object):
@@ -108,8 +127,7 @@ def _numbers(value, field: str, shape: tuple[int, ...] = (), item: str = ""):
 
 
 def scene_from_config(doc: dict) -> Scene:
-    if doc.get("kind") != "scene":
-        raise ConfigError(f"expected kind 'scene', got {doc.get('kind')!r}")
+    _check_fields(doc, "scene")
     coords = _names(doc, "coordinates", "dimension", "scene")
     n = len(coords)
     params = _field(doc, "params", "scene", {}, dict)
@@ -169,13 +187,15 @@ def scene_to_config(scene: Scene) -> dict:
 
 def presentation_from_config(doc: dict) -> tuple[LieAlgebraPresentation, RMatrix | None]:
     kind = "lie_algebra"
-    if doc.get("kind") != kind:
-        raise ConfigError(f"expected kind 'lie_algebra', got {doc.get('kind')!r}")
+    _check_fields(doc, kind)
     _field(doc, "name", kind, "", str)  # cosmetic; the caller reads it
     basis = _names(doc, "basis", "dim", kind)
     n = len(basis)
     c = np.array(_numbers(_field(doc, "structure_constants", kind),
                           "structure_constants", (n, n, n)))
+    if np.any(c + c.swapaxes(1, 2)):  # exactly, as RMatrix checks r
+        raise ConfigError("structure_constants must be exactly antisymmetric "
+                          "in their last two indices")
     b = np.array(_numbers(_field(doc, "metric", kind), "metric", (n, n)))
     pres = LieAlgebraPresentation(n, c, b, basis)
     r = None
@@ -199,11 +219,12 @@ def presentation_to_config(pres: LieAlgebraPresentation,
 
 
 def canonical_digest(doc: dict) -> str:
-    """sha256 of the canonicalized config (whitespace-insensitive in the
-    expressions, independent of the cosmetic name and of key order)."""
+    """sha256 of the canonicalized config: the document read and written
+    again, so whitespace in the expressions, how a number is written, the
+    cosmetic name and key order do not change it."""
     if doc.get("kind") == "scene":
-        doc = {**doc, **scene_to_config(scene_from_config(doc))}
-    return hash_canonical(doc)
+        return hash_canonical(scene_to_config(scene_from_config(doc)))
+    return hash_canonical(presentation_to_config(*presentation_from_config(doc)))
 
 
 def hash_canonical(doc: dict) -> str:

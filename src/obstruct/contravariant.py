@@ -68,10 +68,9 @@ class CurvatureK:
     components: np.ndarray
 
 
-# layers in the order Frame.at builds them, which fixes which error a
-# point that fails in several layers reports
-_LAYERS = ("metric_eval", "pi_eval", "inverse", "christoffels", "riemann",
-           "nabla_pi_eval", "a_eval", "nabla_a")
+# the layers that can fail, in the order Frame.at builds them, which fixes
+# which error a point that fails in several layers reports
+_LAYERS = ("metric_eval", "pi_eval", "inverse")
 
 FLAT_TOL = 1e-6  # the |K| above which linearized_defect warns
 
@@ -104,8 +103,9 @@ class Frame:
     Each layer is computed on first use and kept, on :attr:`block`: the
     frame itself for a block, the padded block ``[p, p]`` for a lone point
     (1-D or a 1-row block), whose frame keeps its rows.  :meth:`at` builds
-    all layers; the grid sweep constructs a frame directly, so a block
-    builds only the layers its checks need.  The metric layer takes pi
+    the layers that can fail (both fields and the metric inverse), so a
+    frame from it fails wherever one of its points fails alone; the rest
+    are built for the checks that need them.  The metric layer takes pi
     from the same run of the scene's compiled program; pi asked for first
     evaluates pi alone.
     """
@@ -133,7 +133,7 @@ class Frame:
     def at(cls, scene: Scene, point) -> "Frame":
         frame = cls(scene, point)
         for layer in _LAYERS:
-            getattr(frame, layer)
+            getattr(frame.block, layer)
         return frame
 
     @_layer
@@ -195,10 +195,10 @@ class Frame:
     da = property(lambda self: self.a_eval.d1)
 
     # co-frame image W[i, j, k] = (D^i dx^j)_k, shared by torsion and the
-    # definitional curvature route
-    def coframe_connection(self) -> np.ndarray:
+    # definitional curvature route; ``a`` replaces A
+    def coframe_connection(self, a: np.ndarray | None = None) -> np.ndarray:
         return (-np.einsum("...ia,...jak->...ijk", self.pi, self.christoffels.gamma)
-                + self.a)
+                + (self.a if a is None else a))
 
 
 def _a_with_partials(g, dg, ginv, dginv, n_arr, dn_arr):
@@ -297,8 +297,7 @@ def torsion_defect(scene: Scene, point, frame: Frame | None = None,
     contravariant connection.  Pass ``a=0`` arrays to probe the plain
     sharp-composed connection instead (its torsion is -nabla pi)."""
     f, row = _block(scene, point, frame)
-    a = f.a if a is None else a
-    w = (-np.einsum("...ia,...jak->...ijk", f.pi, f.christoffels.gamma) + a)
+    w = f.coframe_connection(a)
     return row(w - w.swapaxes(-3, -2) - f.dpi)
 
 

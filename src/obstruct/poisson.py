@@ -117,17 +117,20 @@ def koszul_from(pi: np.ndarray, dpi: np.ndarray,
 
 # -- per-point operations ------------------------------------------------------
 #
-# The wrappers that need more than pi evaluate on Frame(scene, point).block,
-# the block the grid sweep would evaluate the point in, and read the frame's
-# rows off it, so their numbers are the sweep's; obstruct.contravariant
-# builds on this module, so they import it when called.
+# The wrappers that need more than pi evaluate on the frame's block (for a
+# lone point the padded block [p, p] the grid sweep evaluates it in) and
+# read the frame's rows off it, so their numbers are the sweep's.  Without
+# a frame they build a lazy Frame(scene, point); obstruct.contravariant
+# builds on this module, so they import it only then.
 
 
-def jacobi_defect(scene: Scene, point) -> np.ndarray:
+def jacobi_defect(scene: Scene, point, frame=None) -> np.ndarray:
     """Totally antisymmetric J^{ijk} at a point (zero for a Poisson pi)."""
-    from .contravariant import Frame
-    f = Frame(scene, point)
-    return f.rows(jacobi_from(f.block.pi, f.block.dpi))
+    if frame is None:
+        from .contravariant import Frame
+        frame = Frame(scene, point)
+    f = frame.block
+    return frame.rows(jacobi_from(f.pi, f.dpi))
 
 
 def sharp(scene: Scene, sigma: OneFormField, point) -> np.ndarray:
@@ -146,12 +149,13 @@ def koszul_bracket(scene: Scene, sigma: OneFormField, rho: OneFormField,
                        rho.evaluate(scene, point))
 
 
-def divergence_defect(scene: Scene, point) -> np.ndarray:
+def divergence_defect(scene: Scene, point, frame=None) -> np.ndarray:
     """nabla_j pi^{ij} with the Levi-Civita connection of the scene metric;
     must vanish for integration to deform into a trace."""
-    from .contravariant import Frame
-    f = Frame(scene, point)
-    return f.rows(divergence_from(f.block.nabla_pi))
+    if frame is None:
+        from .contravariant import Frame
+        frame = Frame(scene, point)
+    return frame.rows(divergence_from(frame.block.nabla_pi))
 
 
 def symplectic_inverse(scene: Scene, point) -> np.ndarray:

@@ -8,13 +8,14 @@ point, and aggregates the max-abs norm over components and points into an
 One process (``OBSTRUCT_WORKERS=1``, the default) sweeps the ``(P, n)``
 grid array in blocks of :func:`block_size` points (at most :data:`BLOCK`,
 and fewer as the dimension grows: a 33 x 33 grid is one block): each block
-is one :class:`~obstruct.contravariant.Frame` whose arrays carry a leading
-point axis (innermost in memory), it builds only the layers its checks
-need, and each check reduces to one float64 array with a value per point,
-NaN for gprime_flat where pi is degenerate.  With more workers
+is one :meth:`~obstruct.contravariant.Frame.at` whose arrays carry a
+leading point axis (innermost in memory), it builds only the layers its
+checks need, and each check, run through its public per-point defect
+function, reduces to one float64 array with a value per point, NaN for
+gprime_flat where pi is degenerate.  With more workers
 (``OBSTRUCT_WORKERS``, 0 = auto) every point is a job of its own in a
 process pool, and the jobs' outcomes are gathered into the same arrays.
-Both run the same kernel, elementwise in the point axis, and a lone point
+Both run the same functions, elementwise in the point axis, and a lone point
 (a pool job, a 1-point block) runs as the padded block ``[p, p]``, so a
 point's numbers are bitwise the same in any block and with any worker
 count.  No block falls back to its single points: where pi is degenerate
@@ -160,69 +161,54 @@ def _max_abs(val: np.ndarray) -> np.ndarray:
     return top
 
 
-def _gprime_flat(frame: contravariant.Frame) -> np.ndarray:
-    """Per-point max-abs of the Riemann tensor of g', NaN where pi is
-    degenerate.  Where pi is degenerate at some points of the block only,
-    g' is evaluated on a fresh frame of the other points, which rounds
-    each of them as the whole block would."""
-    scene, points = frame.scene, frame.point
-    try:
-        return _max_abs(contravariant.gprime_riemann(scene, points, frame=frame))
-    except DegeneratePoissonError as err:
-        keep = err.full
-    out = np.full(len(points), np.nan)
-    if keep.any():
-        sub = points[keep]
-        out[keep] = _max_abs(contravariant.gprime_riemann(
-            scene, sub, frame=contravariant.Frame(scene, sub)))
-    return out
-
-
-# each scene check's per-point defect magnitudes on a block frame; NaN for
-# gprime_flat where pi is degenerate
-_KERNELS = {
-    "jacobi": lambda f: _max_abs(poisson.jacobi_from(f.pi, f.dpi)),
-    "divergence": lambda f: _max_abs(poisson.divergence_from(f.nabla_pi)),
-    "torsion": lambda f: _max_abs(
-        contravariant.torsion_defect(f.scene, f.point, frame=f)),
-    "metric_compat": lambda f: _max_abs(
-        contravariant.metric_compat_defect(f.scene, f.point, frame=f)),
-    "curvature": lambda f: _max_abs(
-        contravariant.curvature_explicit(f.scene, f.point, frame=f).components),
-    "gprime_flat": _gprime_flat,
+# each scene check's public per-point defect function, called with the
+# block's frame and looked up on its module at call time
+_DEFECTS = {
+    "jacobi": lambda f: poisson.jacobi_defect(f.scene, f.point, frame=f),
+    "divergence": lambda f: poisson.divergence_defect(f.scene, f.point, frame=f),
+    "torsion": lambda f: contravariant.torsion_defect(f.scene, f.point, frame=f),
+    "metric_compat": lambda f: contravariant.metric_compat_defect(
+        f.scene, f.point, frame=f),
+    "curvature": lambda f: contravariant.curvature_explicit(
+        f.scene, f.point, frame=f).components,
+    "gprime_flat": lambda f: contravariant.gprime_riemann(f.scene, f.point, frame=f),
 }
 
 
-def _block_frame(scene: Scene, points: np.ndarray) -> contravariant.Frame:
-    """A frame of a block whose :attr:`~contravariant.Frame.block` has both
-    fields and the metric inverse built, the layers :meth:`Frame.at` can
-    fail in, so that the block fails wherever one of its points fails
-    alone; the other layers are built only if a check needs them."""
-    frame = contravariant.Frame(scene, points)
-    for layer in ("metric_eval", "pi_eval", "inverse"):
-        getattr(frame.block, layer)
-    return frame
+def _defect(check: str, frame: contravariant.Frame) -> np.ndarray:
+    """Per-point max-abs of ``check``'s defect on ``frame``'s points, NaN
+    where pi is degenerate.  Where pi is degenerate at some points of the
+    block only, the others are evaluated on a fresh frame of their own,
+    which rounds each of them as the whole block would."""
+    try:
+        return _max_abs(_DEFECTS[check](frame))
+    except DegeneratePoissonError as err:
+        keep = frame.rows(err.full)  # err.full marks the rows of frame.block
+    out = np.full(len(frame.point), np.nan)
+    if keep.any():
+        sub = frame.point[keep]
+        out[keep] = _max_abs(_DEFECTS[check](contravariant.Frame(frame.scene, sub)))
+    return out
 
 
 def _block_defects(scene: Scene, checks: tuple[str, ...], points: np.ndarray):
-    """The defects of ``checks`` on a block of points, each computed on the
-    frame's block and cut to the frame's rows, or the message of its first
-    failure: an evaluation error, then a non-finite field or partial
+    """The defects of ``checks`` on a block of points, or the message of its
+    first failure: an evaluation error, then a non-finite field or partial
     derivative, then a non-finite defect."""
     with np.errstate(all="ignore"):
         try:
-            frame = _block_frame(scene, points)
-            block = frame.block
-            defects = {check: _KERNELS[check](block) for check in checks}
+            frame = contravariant.Frame.at(scene, points)
+            defects = {check: _defect(check, frame) for check in checks}
         except (*_EVAL_ERRORS, DegeneratePoissonError) as err:
             return f"{type(err).__name__}: {err}"
+    block = frame.block
     fields = (block.g, block.dg, block.d2g, block.pi, block.dpi, block.d2pi)
     if not all(np.isfinite(arr).all() for arr in fields):
         return "non-finite metric or poisson field"
     for check, val in defects.items():
         if np.isinf(val).any():
             return f"non-finite {check} defect"
-    return {check: frame.rows(val) for check, val in defects.items()}
+    return defects
 
 
 def _evaluate_point(scene: Scene, checks: tuple[str, ...], point):

@@ -61,6 +61,28 @@ def test_blocks_match_single_points_bitwise(name):
     for check in SCENE_CHECKS:
         row = np.array([outcome[check] for outcome in alone])
         assert row.tobytes() == defects[check].tobytes(), check
+        public = np.array([public_defect(check, scene, p) for p in points])
+        assert public.tobytes() == defects[check].tobytes(), check
+
+
+# each scene check's public per-point function, called without a frame
+PUBLIC = {
+    "jacobi": poisson.jacobi_defect,
+    "divergence": poisson.divergence_defect,
+    "torsion": contravariant.torsion_defect,
+    "metric_compat": contravariant.metric_compat_defect,
+    "curvature": lambda scene, p: contravariant.curvature_explicit(scene, p).components,
+    "gprime_flat": contravariant.gprime_riemann,
+}
+
+
+def public_defect(check, scene, point) -> float:
+    """Max-abs of ``check``'s defect at one point, NaN where pi is
+    degenerate."""
+    try:
+        return np.abs(PUBLIC[check](scene, point)).max()
+    except poisson.DegeneratePoissonError:
+        return np.nan
 
 
 def test_block_size_does_not_change_the_report(monkeypatch):
@@ -98,7 +120,27 @@ def test_first_order_sweep_builds_no_riemann_or_a(monkeypatch):
                      CheckConfig(checks=("jacobi", "divergence"), grid=(7,)))
     assert rep.overall == "pass"
     with pytest.raises(AssertionError):
-        Frame.at(catalog.load_example("su2-dual").scene(), [0.5, 0.5, 0.5])
+        Frame.at(catalog.load_example("su2-dual").scene(), [0.5, 0.5, 0.5]).riemann
+
+
+def test_torsion_without_a_frame_builds_no_riemann_or_nabla_a(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("layer built for torsion")
+
+    real = geometry.covariant_derivative
+
+    def no_nabla_a(field, christoffels, kind):
+        if kind == "uud":
+            forbidden()
+        return real(field, christoffels, kind)
+
+    monkeypatch.setattr(geometry, "riemann_from_christoffels", forbidden)
+    monkeypatch.setattr(geometry, "covariant_derivative", no_nabla_a)
+    scene = catalog.load_example("podles-sphere").scene()
+    point = np.array([0.7, -0.2])
+    assert np.abs(contravariant.torsion_defect(scene, point)).max() < 1e-8
+    with pytest.raises(AssertionError):
+        contravariant.curvature_explicit(scene, point)
 
 
 def test_mixed_degeneracy_falls_back_to_single_points():

@@ -2,7 +2,8 @@
 nested element, of a valid document replaced by junk must end in exit code
 0, 1 or 2, never in an escaped exception, and an exit 2 without a report is
 exactly one ``error:`` line.  A value of a JSON type that the field never
-accepts must exit 2."""
+accepts must exit 2, and so must a top-level field that the kind does not
+have."""
 
 import contextlib
 import io
@@ -106,3 +107,24 @@ def test_one_junk_field_exits_cleanly(mutation):
         assert len(lines) == 1 and lines[0].startswith("error: ")
     if json_type(junk) not in accepted(kind, path):
         assert code == cli.EXIT_ERROR
+
+
+@st.composite
+def extra_fields(draw):
+    """A copy of a valid document with one top-level field added that its
+    kind does not have, and that field's name."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(DOCS))))
+    key = draw(STRINGS.filter(lambda key: key not in SCHEMAS[doc["kind"]]))
+    doc[key] = draw(JUNK)
+    return doc, key
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(extra_fields())
+def test_an_unknown_top_level_field_exits_2(mutation):
+    doc, key = mutation
+    code, out, err = run_cli(doc)
+    assert code == cli.EXIT_ERROR
+    assert out == b""
+    assert err.splitlines() == [
+        f"error: {doc['kind']} config has unknown field {key!r}"]

@@ -173,6 +173,19 @@ BAD_INPUTS = {
         _algebra_doc(structure_constants=[[[0, 0, 0], [0, 0, float("inf")],
                                            [0, -1, 0]]] + [[[0] * 3] * 3] * 2),
         "error: structure_constants must be finite, got inf"),
+    "misspelt-scene-field": (
+        _scene_doc(exlude="1"),
+        "error: scene config has unknown field 'exlude'"),
+    "misspelt-algebra-field": (
+        _algebra_doc(r_matirx=[[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
+        "error: lie_algebra config has unknown field 'r_matirx'"),
+    # [a, b] = [b, a] = a is no bracket; both checks passed on it
+    "symmetric-structure-constants": (
+        {"kind": "lie_algebra", "name": "symmetric", "basis": ["a", "b"],
+         "structure_constants": [[[0, 1], [1, 0]], [[0, 0], [0, 0]]],
+         "metric": [[0, 0], [0, 0]], "r_matrix": [[0, 1], [-1, 0]]},
+        "error: structure_constants must be exactly antisymmetric in their "
+        "last two indices"),
 }
 
 

@@ -181,6 +181,24 @@ class TestDigest:
         doc["poisson"][1][0] = "-((c/2) * (u*u + v*v + 2))"
         assert config.canonical_digest(doc) != config.canonical_digest(entry.config)
 
+    def test_an_algebra_is_read_before_hashing(self):
+        entry = catalog.load_example("sl2-triangular")
+        doc = json.loads(json.dumps(entry.config))
+        for key in ("structure_constants", "metric", "r_matrix"):
+            doc[key] = np.asarray(doc[key]).astype(int).tolist()
+        # as written, the two documents hash differently
+        assert config.hash_canonical(doc) != config.hash_canonical(entry.config)
+        digest = config.canonical_digest(doc)
+        assert digest == config.canonical_digest(entry.config)
+        pres, r = entry.presentation()
+        assert digest == run_checks(pres, r=r).digest
+
+    def test_an_invalid_algebra_has_no_digest(self):
+        doc = json.loads(json.dumps(catalog.load_example("sl2-triangular").config))
+        doc["dim"] = "three"
+        with pytest.raises(config.ConfigError):
+            config.canonical_digest(doc)
+
 
 class TestWorkers:
     def test_parallel_results_match_serial(self, monkeypatch):

@@ -72,7 +72,7 @@ def test_grid_is_one_array():
 
 def test_a_2d_grid_of_33_squared_is_one_block(monkeypatch):
     monkeypatch.setenv("OBSTRUCT_WORKERS", "1")
-    sizes = counting(monkeypatch, "_block_frame")
+    sizes = counting(monkeypatch, "_block_defects")
     rep = run_checks(catalog.load_example("podles-sphere").scene(),
                      CheckConfig(grid=(33,)))
     assert rep.points_evaluated == 1089
@@ -82,7 +82,7 @@ def test_a_2d_grid_of_33_squared_is_one_block(monkeypatch):
 def test_4d_blocks_hold_at_most_256_points(monkeypatch):
     monkeypatch.setenv("OBSTRUCT_WORKERS", "1")
     assert [report.block_size(n) for n in (2, 3, 4)] == [2048, 606, 256]
-    sizes = counting(monkeypatch, "_block_frame")
+    sizes = counting(monkeypatch, "_block_defects")
     rep = run_checks(flat_scene(4), CheckConfig(grid=(5,)))
     assert rep.points_evaluated == 625
     assert sizes == [256, 256, 113]
