@@ -18,21 +18,19 @@ obstruction below is quadratic or linear-traceless in pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import config as config_mod
 from .geometry import Scene
 from .liealg import LieAlgebraPresentation, RMatrix, sl2
+from .record import Record
 
 __all__ = ["CatalogEntry", "example_names", "load_example"]
 
 _TWO_PI = 6.283185307179586
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     """A named config document plus the expected status of each check
     (with a one-line reason) used by the verification suite."""
 

@@ -197,6 +197,8 @@ def presentation_from_config(doc: dict) -> tuple[LieAlgebraPresentation, RMatrix
         raise ConfigError("structure_constants must be exactly antisymmetric "
                           "in their last two indices")
     b = np.array(_numbers(_field(doc, "metric", kind), "metric", (n, n)))
+    if np.linalg.matrix_rank(b) < n:  # a cutoff relative to b's scale
+        raise ConfigError(f"metric must be nondegenerate, of rank {n}")
     pres = LieAlgebraPresentation(n, c, b, basis)
     r = None
     if doc.get("r_matrix") is not None:  # RMatrix checks antisymmetry

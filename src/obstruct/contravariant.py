@@ -30,7 +30,6 @@ point (see README, "Determinism and parallelism").
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,6 +37,7 @@ import numpy as np
 from . import exprlang, geometry, poisson
 from .geometry import Christoffels, PointEvaluation, Scene
 from .poisson import DegeneratePoissonError, OneFormField
+from .record import Record
 
 __all__ = [
     "ATensor", "CurvatureK", "Frame",
@@ -50,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ATensor:
+class ATensor(Record):
     """Correction tensor A^{ij}_k and its covariant derivative
     ``derivative[i, j, k, a] = nabla_a A^{ij}_k``."""
 
@@ -59,8 +58,7 @@ class ATensor:
     derivative: np.ndarray
 
 
-@dataclass(frozen=True)
-class CurvatureK:
+class CurvatureK(Record):
     """Curvature K^{ijk}_l of the metric contravariant connection: the
     first two indices are the 1-form slots, the last two the action on
     co-vectors, ``(K(sigma, rho) v)_l = K^{ijk}_l sigma_i rho_j v_k``."""
@@ -76,7 +74,7 @@ FLAT_TOL = 1e-6  # the |K| above which linearized_defect warns
 
 
 def _rows(x, key):
-    """Rows ``key`` of a block's array, or of each in a tuple or dataclass."""
+    """Rows ``key`` of a block's array, or of each in a tuple or record."""
     if x is None or isinstance(x, np.ndarray):
         return x if x is None else x[key]
     if isinstance(x, tuple):

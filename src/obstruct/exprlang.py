@@ -21,13 +21,13 @@ component fields with full jet data of their own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from . import jets
 from .jets import Jet2
+from .record import Record
 
 __all__ = [
     "Expr", "Num", "Coord", "Param", "Neg", "BinOp", "Call",
@@ -54,36 +54,30 @@ class UnknownIdentifier(ExprError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(Record):
     value: float
 
 
-@dataclass(frozen=True)
-class Coord:
+class Coord(Record):
     name: str
     index: int
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(Record):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record):
     fn: str  # one of exp log sin cos sqrt
     arg: "Expr"
 
@@ -104,8 +98,7 @@ MAX_DEPTH = 150
 
 # -- tokenizer ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str   # num | ident | op | lparen | rparen | comma | end
     text: str
     pos: int
@@ -327,7 +320,6 @@ class JetProgram:
     memory on a 4-D scene of 10-operation entries).  ``constant[k]`` marks
     the slots that read no coordinate: a power is real where its exponent
     slot is constant, ``exp(e log b)`` elsewhere.
-    (A plain class: a dataclass would add about 1 ms to every start.)
     """
 
     def __init__(self, code: tuple[tuple, ...], outputs: tuple[int, ...],

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import exprlang
 from .exprlang import Expr
+from .record import Record
 
 __all__ = [
     "Scene", "SceneValidationError", "PointEvaluation", "Christoffels",
@@ -50,8 +51,7 @@ SYMMETRY_TOL = 1e-12       # Scene.validate: largest |g - g^T|, |pi + pi^T|
 NONDEGENERACY_TOL = 1e-12  # Scene.validate: largest |det g| rejected
 
 
-@dataclass(frozen=True)
-class PointEvaluation:
+class PointEvaluation(Record):
     """Tensor components at a point with trailing-index partials.
 
     ``d2`` may be None for quantities whose second partials are not
@@ -63,8 +63,7 @@ class PointEvaluation:
     d2: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class Christoffels:
+class Christoffels(Record):
     """Levi-Civita symbols ``gamma[i, j, k] = Gamma^i_{jk}`` and their
     partials ``d1[i, j, k, l] = d_l Gamma^i_{jk}``."""
 

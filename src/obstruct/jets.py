@@ -25,9 +25,10 @@ sign, or comparison inside jets.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
+
+from .record import Record
 
 __all__ = ["Jet2", "JetDomainError", "constant", "coordinate", "OPERATIONS"]
 
@@ -54,8 +55,7 @@ def _outer(a, b):
     return a[:, None] * b[None]
 
 
-@dataclass(frozen=True)
-class Jet2:
+class Jet2(Record):
     """Value, gradient, and symmetric Hessian of a scalar at a point or at
     a block of points.
 

@@ -22,13 +22,13 @@ beta`` (covered by tests).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import exprlang
 from .geometry import Scene
 from .poisson import _perm_sign
+from .record import Record
 
 __all__ = [
     "LieAlgebraPresentation", "RMatrix", "ValidationReport",
@@ -38,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LieAlgebraPresentation:
+class LieAlgebraPresentation(Record):
     """Structure constants ``c[i, j, k] = C^i_{jk}`` (antisymmetric in
     ``j, k``), an ad-invariant nondegenerate metric ``b[i, j]``, and basis
     names."""
@@ -54,8 +53,7 @@ class LieAlgebraPresentation:
         return np.einsum("ijk,j,k->i", self.structure_constants, x, y)
 
 
-@dataclass(frozen=True)
-class RMatrix:
+class RMatrix(Record):
     """An antisymmetric ``r[i, j]`` in the second exterior power of the
     algebra."""
 
@@ -70,8 +68,7 @@ class RMatrix:
         object.__setattr__(self, "components", r)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     max_jacobi_defect: float
     max_invariance_defect: float
     max_antisymmetry_defect: float

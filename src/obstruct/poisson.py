@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import exprlang, geometry
 from .exprlang import Expr
 from .geometry import PointEvaluation, Scene
+from .record import Record
 
 __all__ = [
     "OneFormField", "DegeneratePoissonError",
@@ -44,8 +44,7 @@ class DegeneratePoissonError(ValueError):
         self.full = full
 
 
-@dataclass(frozen=True)
-class OneFormField:
+class OneFormField(Record):
     """A 1-form given by one component expression per coordinate.
 
     Differentials of scalar expressions are normalized to component form

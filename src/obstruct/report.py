@@ -34,7 +34,6 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -45,6 +44,7 @@ from . import contravariant, poisson
 from .geometry import Scene, SceneValidationError
 from .liealg import LieAlgebraPresentation, RMatrix, cybe_defect, qg_divergence
 from .poisson import DegeneratePoissonError
+from .record import Record
 
 __all__ = [
     "SCENE_CHECKS", "ALGEBRA_CHECKS", "SELF_TEST_CHECKS",
@@ -63,8 +63,7 @@ SELF_TEST_TOL = 1e-8
 OBSTRUCTION_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class CheckConfig:
+class CheckConfig(Record):
     """Which checks to run, on what grid, against what thresholds.
 
     ``checks=None`` means every check applicable to the subject kind, and
@@ -75,10 +74,11 @@ class CheckConfig:
 
     checks: tuple[str, ...] | None = None
     grid: tuple[int, ...] = (9,)
-    tolerances: dict[str, float] = field(default_factory=dict)
+    tolerances: dict[str, float] = {}  # copied per instance
     points: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "tolerances", dict(self.tolerances))
         if self.checks is not None:  # the first of each name, in order
             object.__setattr__(self, "checks", tuple(dict.fromkeys(self.checks)))
         known = SCENE_CHECKS + ALGEBRA_CHECKS
@@ -96,8 +96,7 @@ class CheckConfig:
         return self.tolerances.get(check, default)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record, uncompared=("table",)):
     name: str
     status: str                      # pass | fail | skipped | failed-to-evaluate
     tolerance: float
@@ -106,12 +105,10 @@ class CheckResult:
     reason: str | None = None
     # the sweep's (P, n) points and its (P,) defect magnitudes, kept as
     # arrays; only the csv-points rendering turns them into rows
-    table: tuple[np.ndarray, np.ndarray] | None = field(default=None,
-                                                        compare=False)
+    table: tuple[np.ndarray, np.ndarray] | None = None
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Record):
     name: str
     kind: str
     digest: str

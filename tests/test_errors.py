@@ -179,6 +179,10 @@ BAD_INPUTS = {
     "misspelt-algebra-field": (
         _algebra_doc(r_matirx=[[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
         "error: lie_algebra config has unknown field 'r_matirx'"),
+    # an all-zero pairing ran both checks and exited 1
+    "degenerate-algebra-metric": (
+        _algebra_doc(metric=[[0] * 3] * 3),
+        "error: metric must be nondegenerate, of rank 3"),
     # [a, b] = [b, a] = a is no bracket; both checks passed on it
     "symmetric-structure-constants": (
         {"kind": "lie_algebra", "name": "symmetric", "basis": ["a", "b"],
