@@ -145,8 +145,8 @@ class Frame:
         return geometry.eval_field(self.scene, "poisson", self.point)
 
     @_layer
-    def inverse(self) -> tuple[np.ndarray, np.ndarray]:
-        return geometry.inverse_with_partials(self.g, self.dg, None)[:2]
+    def inverse(self) -> PointEvaluation:
+        return PointEvaluation(*geometry.inverse_with_partials(self.g, self.dg, None))
 
     @_layer
     def d2ginv(self) -> np.ndarray:
@@ -170,8 +170,7 @@ class Frame:
     @_layer
     def a_eval(self) -> PointEvaluation:
         """A[i, j, k] = A^{ij}_k with d_l A as ``d1``."""
-        return PointEvaluation(*_a_with_partials(
-            self.g, self.dg, self.ginv, self.dginv, self.nabla_pi, self.dnabla_pi))
+        return _a_with_partials(self.metric_eval, self.inverse, self.nabla_pi_eval)
 
     @_layer
     def nabla_a(self) -> np.ndarray:
@@ -185,8 +184,8 @@ class Frame:
     pi = property(lambda self: self.pi_eval.components)
     dpi = property(lambda self: self.pi_eval.d1)
     d2pi = property(lambda self: self.pi_eval.d2)
-    ginv = property(lambda self: self.inverse[0])
-    dginv = property(lambda self: self.inverse[1])
+    ginv = property(lambda self: self.inverse.components)
+    dginv = property(lambda self: self.inverse.d1)
     nabla_pi = property(lambda self: self.nabla_pi_eval.components)
     dnabla_pi = property(lambda self: self.nabla_pi_eval.d1)
     a = property(lambda self: self.a_eval.components)
@@ -199,18 +198,14 @@ class Frame:
                 + (self.a if a is None else a))
 
 
-def _a_with_partials(g, dg, ginv, dginv, n_arr, dn_arr):
+def _a_with_partials(g_eval, ginv_eval, n_eval) -> PointEvaluation:
     # P[i, j, a] = g^{ib} nabla_b pi^{ja}; the two g-g^-1 terms of A are
     # g_{ka} P[i, j, a] and the same with i and j exchanged
-    p = np.einsum("...ib,...jab->...ija", ginv, n_arr)
-    dp = (np.einsum("...ibl,...jab->...ijal", dginv, n_arr)
-          + np.einsum("...ib,...jabl->...ijal", ginv, dn_arr))
-    t = np.einsum("...ka,...ija->...ijk", g, p)
-    dt = (np.einsum("...kal,...ija->...ijkl", dg, p)
-          + np.einsum("...ka,...ijal->...ijkl", g, dp))
-    a = 0.5 * (n_arr - t - t.swapaxes(-3, -2))
-    da = 0.5 * (dn_arr - dt - dt.swapaxes(-4, -3))
-    return a, da
+    p = geometry.contract("ib,jab->ija", ginv_eval, n_eval)
+    t = geometry.contract("ka,ija->ijk", g_eval, p)
+    return PointEvaluation(
+        0.5 * (n_eval.components - t.components - t.components.swapaxes(-3, -2)),
+        0.5 * (n_eval.d1 - t.d1 - t.d1.swapaxes(-4, -3)), None)
 
 
 def _frame(scene: Scene, point, frame: Frame | None) -> Frame:
@@ -239,13 +234,9 @@ def apply_connection(scene: Scene, sigma: OneFormField, point,
     """(D^i sigma)_k as an (n, n) matrix indexed [i, k]."""
     f = _frame(scene, point, frame)
     sv = sigma.evaluate(scene, f.point)
-    return _apply_to_form(f, sv.components, sv.d1)
-
-
-def _apply_to_form(f: Frame, sv, dsv) -> np.ndarray:
-    nabla_sigma = dsv.swapaxes(0, 1) - np.einsum("cak,c->ak", f.christoffels.gamma, sv)
-    return (np.einsum("ia,ak->ik", f.pi, nabla_sigma)
-            + np.einsum("ijk,j->ik", f.a, sv))
+    nabla_sigma = geometry.covariant_derivative(sv, f.christoffels, "d").components
+    return (np.einsum("ia,ka->ik", f.pi, nabla_sigma)
+            + np.einsum("ijk,j->ik", f.a, sv.components))
 
 
 def koszul_oracle_connection(scene: Scene, alpha: OneFormField,
@@ -366,7 +357,7 @@ def omega_with_partials(f: Frame):
         raise DegeneratePoissonError(
             f"poisson structure degenerate at {f.point[~full][0].tolist()}", full)
     inv, dinv, d2inv = geometry.inverse_with_partials(f.pi, f.dpi, f.d2pi, inv)
-    return -inv, -dinv, -d2inv
+    return PointEvaluation(-inv, -dinv, -d2inv)
 
 
 def gprime(scene: Scene, point, frame: Frame | None = None) -> np.ndarray:
@@ -378,24 +369,11 @@ def gprime(scene: Scene, point, frame: Frame | None = None) -> np.ndarray:
 
 def gprime_eval(f: Frame) -> PointEvaluation:
     """g' with first and second partials, ready for curvature."""
-    o, do, d2o = omega_with_partials(f)
-    ginv, dginv, d2ginv = f.ginv, f.dginv, f.d2ginv
-    # g' = U o^T with U[j, b] = omega_{ja} g^{ab}; product rule on both
-    u = np.einsum("...ja,...ab->...jb", o, ginv)
-    du = (np.einsum("...jal,...ab->...jbl", do, ginv)
-          + np.einsum("...ja,...abl->...jbl", o, dginv))
-    cross = np.einsum("...jal,...abm->...jblm", do, dginv)
-    d2u = (np.einsum("...jalm,...ab->...jblm", d2o, ginv)
-           + cross + cross.swapaxes(-1, -2)
-           + np.einsum("...ja,...ablm->...jblm", o, d2ginv))
-    g_pr = np.einsum("...jb,...kb->...jk", u, o)
-    d1 = (np.einsum("...jbl,...kb->...jkl", du, o)
-          + np.einsum("...jb,...kbl->...jkl", u, do))
-    cross = np.einsum("...jbl,...kbm->...jklm", du, do)
-    d2 = (np.einsum("...jblm,...kb->...jklm", d2u, o)
-          + cross + cross.swapaxes(-1, -2)
-          + np.einsum("...jb,...kblm->...jklm", u, d2o))
-    return PointEvaluation(g_pr, d1, d2)
+    o = omega_with_partials(f)
+    ginv = PointEvaluation(f.ginv, f.dginv, f.d2ginv)
+    # g' = U o^T with U[j, b] = omega_{ja} g^{ab}
+    u = geometry.contract("ja,ab->jb", o, ginv, order=2)
+    return geometry.contract("jb,kb->jk", u, o, order=2)
 
 
 def gprime_riemann(scene: Scene, point, frame: Frame | None = None) -> np.ndarray:
@@ -414,13 +392,10 @@ def perturbation_from_oneform(scene: Scene, alpha: OneFormField, point,
     generated by 1-forms."""
     f = _frame(scene, point, frame)
     sv = alpha.evaluate(scene, f.point)
-    raised = np.einsum("ja,a->j", f.ginv, sv.components)
-    draised = (np.einsum("jam,a->jm", f.dginv, sv.components)
-               + np.einsum("ja,am->jm", f.ginv, sv.d1))
-    gamma = f.christoffels.gamma
-    nabla_v = draised + np.einsum("jbc,c->jb", gamma, raised)
+    raised = geometry.contract("ja,a->j", f.inverse, sv)
+    nabla_v = geometry.covariant_derivative(raised, f.christoffels, "u").components
     dv = (np.einsum("ib,jb->ij", f.pi, nabla_v)
-          - np.einsum("ijc,c->ij", f.a, raised))
+          - np.einsum("ijc,c->ij", f.a, raised.components))
     return dv + dv.T
 
 
@@ -441,23 +416,15 @@ def linearized_defect(scene: Scene, h, point, frame: Frame | None = None) -> np.
             f"(|K| = {k_max:.3g}); linearized defect is heuristic there",
             stacklevel=2)
     h_eval = geometry.eval_field(scene, h, f.point)
-    hv, dhv = h_eval.components, h_eval.d1
     nh = geometry.covariant_derivative(h_eval, f.christoffels, "uu")
-    nabla_h, dnabla_h = nh.components, nh.d1
-    u = (np.einsum("la,ika->lik", f.pi, nabla_h)
-         - np.einsum("lib,bk->lik", f.a, hv)
-         - np.einsum("lkb,ib->lik", f.a, hv))
-    du = (np.einsum("lam,ika->likm", f.dpi, nabla_h)
-          + np.einsum("la,ikam->likm", f.pi, dnabla_h)
-          - np.einsum("libm,bk->likm", f.da, hv)
-          - np.einsum("lib,bkm->likm", f.a, dhv)
-          - np.einsum("lkbm,ib->likm", f.da, hv)
-          - np.einsum("lkb,ibm->likm", f.a, dhv))
-    gamma = f.christoffels.gamma
-    nabla_u = (du
-               + np.einsum("lab,bik->lika", gamma, u)
-               + np.einsum("iab,lbk->lika", gamma, u)
-               + np.einsum("kab,lib->lika", gamma, u))
+    # U^{lik} = D^l h^{ik} with its partials
+    pn = geometry.contract("la,ika->lik", f.pi_eval, nh)
+    ah = geometry.contract("lib,bk->lik", f.a_eval, h_eval)
+    ha = geometry.contract("lkb,ib->lik", f.a_eval, h_eval)
+    u_eval = PointEvaluation(pn.components - ah.components - ha.components,
+                             pn.d1 - ah.d1 - ha.d1)
+    u = u_eval.components
+    nabla_u = geometry.covariant_derivative(u_eval, f.christoffels, "uuu").components
     v2 = (np.einsum("ja,lika->jlik", f.pi, nabla_u)
           - np.einsum("jlb,bik->jlik", f.a, u)
           - np.einsum("jib,lbk->jlik", f.a, u)
@@ -473,18 +440,11 @@ def alpha_defect(scene: Scene, alpha: OneFormField, point,
     perturbation generated by ``alpha``."""
     f = _frame(scene, point, frame)
     sv = alpha.evaluate(scene, f.point)
-    s, ds, d2s = sv.components, sv.d1, sv.d2
-    gamma, dgamma = f.christoffels.gamma, f.christoffels.d1
-    ns = ds - np.einsum("cjk,c->kj", gamma, s)
-    dns = (d2s
-           - np.einsum("cjkm,c->kjm", dgamma, s)
-           - np.einsum("cjk,cm->kjm", gamma, ds))
-    trace_a = np.einsum("kjk->j", f.a)
-    dtrace_a = np.einsum("kjkm->jm", f.da)
-    grad = (np.einsum("kjm,kj->m", f.dpi, ns)
-            + np.einsum("kj,kjm->m", f.pi, dns)
-            + np.einsum("jm,j->m", dtrace_a, s)
-            + np.einsum("j,jm->m", trace_a, ds))
+    # D^k a_k = pi^{kj} nabla_j a_k + A^{kj}_k a_j; grad is its gradient
+    ns = geometry.covariant_derivative(sv, f.christoffels, "d")
+    trace_a = PointEvaluation(np.einsum("kjk->j", f.a), np.einsum("kjkm->jm", f.da))
+    grad = (geometry.contract("kj,kj->", f.pi_eval, ns).d1
+            + geometry.contract("j,j->", trace_a, sv).d1)
     return np.einsum("ij,i->j", f.pi, grad)
 
 
@@ -507,9 +467,8 @@ def lie_perturbation_field(scene: Scene, alpha: OneFormField):
             "lie_perturbation_field needs constant metric and "
             "poisson coefficients")
     center = np.array([(lo + hi) / 2.0 for lo, hi in scene.box])
-    g = geometry.eval_field(scene, "metric", center).components
+    g, pi = scene.entry_values(center)
     ginv = np.linalg.inv(g)
-    pi = geometry.eval_field(scene, "poisson", center).components
     raised = [exprlang.linear(ginv[j], alpha.components) for j in range(n)]
     d_raised = [[exprlang.differentiate(raised[j], a_idx) for a_idx in range(n)]
                 for j in range(n)]

@@ -14,6 +14,9 @@ need.
 Every array may carry leading axes in front of its tensor indices: a
 block of points is evaluated as one batch, its point axis innermost in
 memory so that each contraction's inner loop runs along the points.
+The product rule for the partials of a contraction is written once, in
+:func:`contract`; its fixed term order is what keeps a point's numbers
+bitwise the same wherever a product of fields is differentiated.
 
 Index conventions: derivative indices always trail, so ``d1[..., k]`` is
 the partial by coordinate ``k`` and ``d2[..., k, l]`` is symmetric in
@@ -39,7 +42,7 @@ __all__ = [
     "Scene", "SceneValidationError", "PointEvaluation", "Christoffels",
     "eval_field", "metric_inverse", "volume_density", "christoffels",
     "riemann", "covariant_derivative", "inverse_with_partials", "eval_fields",
-    "inverse_second_partials",
+    "inverse_second_partials", "contract",
 ]
 
 
@@ -49,6 +52,7 @@ class SceneValidationError(ValueError):
 
 SYMMETRY_TOL = 1e-12       # Scene.validate: largest |g - g^T|, |pi + pi^T|
 NONDEGENERACY_TOL = 1e-12  # Scene.validate: largest |det g| rejected
+MAX_REJECTED_DRAWS = 1000  # Scene.sample_points: excluded draws in a row
 
 
 class PointEvaluation(Record):
@@ -162,14 +166,21 @@ class Scene:
         return pts[[not self.is_excluded(p) for p in pts]]
 
     def sample_points(self, rng: np.random.Generator, count: int) -> list[np.ndarray]:
-        """Uniform random points in the box, rejecting excluded ones."""
+        """Uniform random points in the box, rejecting excluded ones; gives
+        up after :data:`MAX_REJECTED_DRAWS` excluded draws in a row."""
         out: list[np.ndarray] = []
         lo = np.array([b[0] for b in self.box])
         hi = np.array([b[1] for b in self.box])
+        rejected = 0
         while len(out) < count:
             p = lo + (hi - lo) * rng.random(self.dimension)
             if not self.is_excluded(p):
                 out.append(p)
+                rejected = 0
+            elif (rejected := rejected + 1) == MAX_REJECTED_DRAWS:
+                raise SceneValidationError(
+                    f"no sample points: exclude drops {rejected} random "
+                    f"draws in a row")
         return out
 
     def scaled_poisson(self, factor: float) -> "Scene":
@@ -287,6 +298,9 @@ def eval_fields(scene: Scene, point) -> tuple[PointEvaluation, PointEvaluation]:
 
 def _checked(scene: Scene, point) -> np.ndarray:
     point = np.asarray(point, dtype=float)
+    if point.shape[-1:] != (scene.dimension,):
+        raise ValueError(f"a point of the scene needs {scene.dimension} "
+                         f"coordinates, got an array of shape {point.shape}")
     if point.ndim == 1 and scene.is_excluded(point):
         raise ValueError(f"point {point.tolist()} is excluded from the sample domain")
     return point
@@ -300,6 +314,32 @@ def _checked(scene: Scene, point) -> np.ndarray:
 # block axes innermost in memory (einsum and ufuncs follow their inputs;
 # the inverse and copies are told to), so a point's result is bitwise the
 # same in any block of two or more points.
+
+
+def contract(spec: str, x: PointEvaluation, y: PointEvaluation,
+             order: int = 1) -> PointEvaluation:
+    """``einsum(spec, x, y)`` with its partials up to ``order`` (1 or 2),
+    by the product rule in one fixed term order:
+
+        d1 = dx.y + x.dy,    d2 = d2x.y + c + c^T + x.d2y,   c = dx.dy.
+
+    ``spec`` names the tensor indices only (``"ja,ab->jb"``); the block
+    axes and the derivative indices ``y``, ``z``, which no spec may use,
+    are added here.  ``order=2`` needs ``d2`` on both inputs.
+    """
+    a, b, out = spec.replace("->", ",").split(",")
+
+    def term(p, q, dp="", dq=""):
+        return np.einsum(f"...{a}{dp},...{b}{dq}->...{out}{dp}{dq}", p, q)
+
+    value = term(x.components, y.components)
+    d1 = term(x.d1, y.components, "y") + term(x.components, y.d1, "", "y")
+    if order == 1:
+        return PointEvaluation(value, d1, None)
+    c = term(x.d1, y.d1, "y", "z")
+    d2 = (term(x.d2, y.components, "yz") + c + c.swapaxes(-1, -2)
+          + term(x.components, y.d2, "", "yz"))
+    return PointEvaluation(value, d1, d2)
 
 
 def inverse_with_partials(m: np.ndarray, d1: np.ndarray | None,
@@ -364,18 +404,16 @@ def volume_density(g_eval: PointEvaluation) -> PointEvaluation:
 def christoffels(g_eval: PointEvaluation, inverse=None) -> Christoffels:
     """Levi-Civita symbols with their first partials (from second partials
     of the metric and the analytic inverse derivative).  ``inverse`` is
-    the pair ``(g^-1, d g^-1)`` when the caller already has it."""
+    g^-1 with its first partials when the caller already has it."""
     g, dg, d2g = g_eval.components, g_eval.d1, g_eval.d2
-    ginv, dginv = inverse or inverse_with_partials(g, dg, None)[:2]
+    inverse = inverse or PointEvaluation(*inverse_with_partials(g, dg, None))
     # S[a, j, k] = d_j g_ak + d_k g_aj - d_a g_jk
     s = (np.einsum("...akj->...ajk", dg) + dg
          - np.einsum("...jka->...ajk", dg))
-    gamma = 0.5 * np.einsum("...ia,...ajk->...ijk", ginv, s)
     ds = (np.einsum("...akjl->...ajkl", d2g) + d2g
           - np.einsum("...jkal->...ajkl", d2g))
-    dgamma = 0.5 * (np.einsum("...ial,...ajk->...ijkl", dginv, s)
-                    + np.einsum("...ia,...ajkl->...ijkl", ginv, ds))
-    return Christoffels(gamma, dgamma)
+    twice = contract("ia,ajk->ijk", inverse, PointEvaluation(s, ds, None))
+    return Christoffels(0.5 * twice.components, 0.5 * twice.d1)
 
 
 def riemann(g_eval: PointEvaluation) -> np.ndarray:

@@ -165,7 +165,7 @@ def symplectic_inverse(scene: Scene, point) -> np.ndarray:
     """
     from .contravariant import Frame, omega_with_partials
     f = Frame(scene, point)
-    return f.rows(omega_with_partials(f.block)[0])
+    return f.rows(omega_with_partials(f.block).components)
 
 
 def pi_rank_from(pi: np.ndarray):

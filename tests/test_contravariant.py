@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -355,6 +357,16 @@ class TestLinearized:
         h = [[exprlang.parse(e, s.coords, ["h0"]) for e in row] for row in zero]
         with pytest.warns(UserWarning, match="not flat"):
             linearized_defect(s, h, [0.5, 0.5])
+
+    def test_field_builder_ignores_an_excluded_box_centre(self):
+        rng = np.random.default_rng(53)
+        s = catalog.load_example("flat-torus").scene()
+        ball = exprlang.parse("0.25 - (x1 - 3.141592653589793)^2 "
+                              "- (x2 - 3.141592653589793)^2", s.coords, list(s.params))
+        holed = dataclasses.replace(s, exclude=ball)
+        alpha = random_form(rng, s)
+        h = lie_perturbation_field(holed, alpha)
+        assert h == lie_perturbation_field(s, alpha)
 
     def test_field_builder_rejects_varying_scenes(self):
         s = catalog.load_example("podles-sphere").scene()

@@ -1,8 +1,11 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
-from conftest import flat_scene, make_scene, maxabs
-from obstruct import catalog, geometry
+from conftest import flat_scene, make_scene, maxabs, random_smooth_expr
+from obstruct import catalog, exprlang, geometry, poisson
 from obstruct.contravariant import Frame
 from obstruct.geometry import (PointEvaluation, SceneValidationError,
                                christoffels, covariant_derivative, eval_field,
@@ -265,3 +268,67 @@ def test_excluded_point_is_worded_as_plain_floats():
     with pytest.raises(ValueError) as found:
         Frame.at(scene, np.zeros(3))
     assert str(found.value) == message
+
+
+def test_sample_points_gives_up_when_exclude_covers_the_box():
+    scene = dataclasses.replace(catalog.load_example("flat-torus").scene(),
+                                exclude=exprlang.Num(1.0))
+    with pytest.raises(SceneValidationError, match="exclude drops 1000 random"):
+        scene.sample_points(np.random.default_rng(0), 1)
+
+
+@pytest.mark.parametrize("shape", [(3,), (1,), (1, 3)])
+def test_point_of_the_wrong_dimension_is_rejected(shape):
+    scene = catalog.load_example("podles-sphere").scene()
+    point = np.full(shape, 0.25)
+    for call in (lambda: poisson.jacobi_defect(scene, point),
+                 lambda: eval_field(scene, "metric", point),
+                 lambda: Frame.at(scene, point)):
+        with pytest.raises(ValueError, match="needs 2 coordinates"):
+            call()
+
+
+class TestContract:
+    """The product rule of :func:`geometry.contract` on X_ia Y_ab."""
+
+    def fields(self):
+        rng = np.random.default_rng(21)
+        scene = flat_scene(3)
+        x, y = ([[random_smooth_expr(rng, scene.coords, 2) for _ in range(3)]
+                 for _ in range(3)] for _ in range(2))
+        points = rng.uniform(-1, 1, (7, 3))
+        return scene, x, y, points
+
+    def test_matches_the_hand_expanded_chain_bitwise(self):
+        scene, x, y, points = self.fields()
+        xe, ye = eval_field(scene, x, points), eval_field(scene, y, points)
+        e = np.einsum
+        value = e("...ia,...ab->...ib", xe.components, ye.components)
+        d1 = (e("...ial,...ab->...ibl", xe.d1, ye.components)
+              + e("...ia,...abl->...ibl", xe.components, ye.d1))
+        cross = e("...ial,...abm->...iblm", xe.d1, ye.d1)
+        d2 = (e("...ialm,...ab->...iblm", xe.d2, ye.components)
+              + cross + cross.swapaxes(-1, -2)
+              + e("...ia,...ablm->...iblm", xe.components, ye.d2))
+        first = geometry.contract("ia,ab->ib", xe, ye)
+        second = geometry.contract("ia,ab->ib", xe, ye, order=2)
+        assert first.d2 is None
+        for got, want in ((first.components, value), (first.d1, d1),
+                          (second.components, value), (second.d1, d1),
+                          (second.d2, d2)):
+            assert np.array_equal(got, want)
+
+    def test_matches_the_jets_of_the_contracted_expression(self):
+        scene, x, y, points = self.fields()
+
+        def entry(i, b):
+            terms = [exprlang.BinOp("*", x[i][a], y[a][b]) for a in range(3)]
+            return functools.reduce(lambda s, t: exprlang.BinOp("+", s, t), terms)
+
+        product = [[entry(i, b) for b in range(3)] for i in range(3)]
+        exact = eval_field(scene, product, points)
+        got = geometry.contract("ia,ab->ib", eval_field(scene, x, points),
+                                eval_field(scene, y, points), order=2)
+        for have, want in ((got.components, exact.components),
+                           (got.d1, exact.d1), (got.d2, exact.d2)):
+            assert maxabs(have - want) <= 1e-12 * max(maxabs(want), 1.0)
