@@ -16,6 +16,7 @@ obstruction fails, 2 configuration or evaluation error.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import catalog, config as config_mod, report
@@ -139,5 +140,19 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
 
+def run() -> None:
+    """The process entry (console script, ``python -m obstruct``): run
+    ``main()``, freeze everything left alive (also when argparse exits), then
+    exit with main's code.  The interpreter's exit-time collections skip
+    frozen objects, which the OS is about to reclaim; flushing, ``atexit``
+    and the pool's shutdown still run.  ``main()``, the embedding entry,
+    leaves the collector alone."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -17,21 +17,32 @@ class Record:
         cls._compared = tuple(f for f in cls._fields if f not in uncompared)
         cls._defaults = {f: cls.__dict__[f] for f in cls._fields
                          if f in cls.__dict__}
+        # positional count -> the defaults of every field after it
+        cls._tails = {k: tuple(cls._defaults[f] for f in cls._fields[k:])
+                      for k in range(len(cls._fields))
+                      if all(f in cls._defaults for f in cls._fields[k:])}
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
         if kwargs or len(args) != len(fields):
-            named = dict(zip(fields, args))
-            bad = [*args[len(fields):],
-                   *(k for k in kwargs if k in named or k not in fields)]
-            given = {**self._defaults, **named, **kwargs}
-            missing = [f for f in fields if f not in given]
-            if bad or missing:
-                raise TypeError(f"{type(self).__qualname__}(): unexpected or "
-                                f"repeated {bad}, missing {missing}")
-            args = [given[f] for f in fields]
+            if not kwargs and len(args) in self._tails:
+                args += self._tails[len(args)]
+            else:
+                args = self._bind(args, kwargs)
         self.__dict__.update(zip(fields, args))
         self.__post_init__()
+
+    def _bind(self, args, kwargs) -> list:
+        fields = self._fields
+        named = dict(zip(fields, args))
+        bad = [*args[len(fields):],
+               *(k for k in kwargs if k in named or k not in fields)]
+        given = {**self._defaults, **named, **kwargs}
+        missing = [f for f in fields if f not in given]
+        if bad or missing:
+            raise TypeError(f"{type(self).__qualname__}(): unexpected or "
+                            f"repeated {bad}, missing {missing}")
+        return [given[f] for f in fields]
 
     def __post_init__(self):
         pass

@@ -88,10 +88,29 @@ def test_positional_and_keyword_construction_agree(cls):
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__qualname__)
 def test_defaults_fill_the_missing_trailing_fields(cls):
-    required = _required(cls)
-    made = cls(*SAMPLES[cls][:len(required)])
-    for name, value in DEFAULTS.get(cls, {}).items():
-        assert getattr(made, name) == value
+    # positional arguments alone, defaults for the rest (a fast path), agree
+    # with the defaults spelled out by keyword
+    args, fields = SAMPLES[cls], _fields(cls)
+    for count in range(len(_required(cls)), len(fields) + 1):
+        short = cls(*args[:count])
+        spelled = cls(*args[:count],
+                      **{f: DEFAULTS[cls][f] for f in fields[count:]})
+        assert list(vars(short)) == fields
+        assert repr(short) == repr(spelled)
+        for name in fields[count:]:
+            assert getattr(short, name) == DEFAULTS[cls][name]
+
+
+def test_a_field_without_a_default_blocks_the_fast_path():
+    class Gap(Record):
+        a: int = 0
+        b: int
+        c: int = 2
+
+    assert vars(Gap(1, 5)) == {"a": 1, "b": 5, "c": 2}
+    for args in [(), (1,)]:
+        with pytest.raises(TypeError, match=r"missing \['b'\]"):
+            Gap(*args)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__qualname__)
@@ -173,6 +192,8 @@ def test_post_init_runs():
     assert config.checks == ("cybe", "jacobi")
     with pytest.raises(ValueError, match="unknown check 'bogus'"):
         CheckConfig(checks=("bogus",))
+    with pytest.raises(ValueError, match="unknown check 'bogus'"):
+        CheckConfig(("bogus",))  # positional, defaults for the rest
 
 
 def test_pickle_round_trip():
